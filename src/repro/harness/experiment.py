@@ -21,19 +21,18 @@ Two methodological details matter for clean measurements:
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Generator, Iterator, List, Optional
 
 from repro.control import TRACE_DEFAULTS, bp_kwargs, make_controller
 from repro.core.bpwrapper import ThreadSlot
-from repro.db.storage import DiskArray
 from repro.db.transactions import (Transaction, TransactionLog,
                                    TransactionOutcome)
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
 from repro.harness.systems import SystemBuild, build_system
-from repro.simcore.cpu import CpuBoundThread, ProcessorPool
+from repro.runtime import thread_backend
 from repro.simcore.engine import Event, Simulator
 from repro.simcore.rng import split_seed, stream_rng
 from repro.sync.stats import LockStats
@@ -357,14 +356,23 @@ def run_experiment(config: ExperimentConfig,
     differential oracle. If the run drains its event queue (is not cut
     off by ``max_sim_time_us``), the checker's end-of-run quiescence
     sweep runs too. Like the observer, the checker never alters
-    simulated time.
+    simulated time; it is sim-only.
+
+    The sim and native runtimes share this body; what differs between
+    them comes from the thread backend that
+    :func:`repro.runtime.thread_backend` picks. Under
+    ``runtime="native"`` blocking means blocking an OS thread,
+    ``elapsed_us`` is wall-clock time and ``max_sim_time_us`` is the
+    join deadline; results are not deterministic run to run, but a
+    single-threaded native run replays accesses in exactly the sim's
+    per-thread order (the cross-runtime equivalence tests rely on
+    that). ``runtime="mp"`` runs on worker
+    processes (:func:`repro.runtime.mp.run_mp_experiment`).
     """
     if config.runtime not in ("sim", "native", "mp"):
         raise ConfigError(
             f"unknown runtime {config.runtime!r}; available: sim, "
             f"native, mp")
-    if config.runtime == "native":
-        return _run_native(config, workload, observer, checker)
     if config.runtime == "mp":
         if config.controller:
             raise ConfigError(
@@ -374,37 +382,33 @@ def run_experiment(config: ExperimentConfig,
         from repro.runtime.mp import run_mp_experiment
         return run_mp_experiment(config, workload, observer=observer,
                                  checker=checker)
-    sim = Simulator()
-    if observer is not None:
-        sim.observer = observer
-    if checker is not None:
-        sim.checker = checker
     machine = config.machine
     if config.n_processors > machine.max_processors:
         raise ConfigError(
             f"{machine.name} has at most {machine.max_processors} "
             f"processors, asked for {config.n_processors}")
-    if not 0.0 <= config.warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got "
-            f"{config.warmup_fraction}")
+    _check_warmup(config)
     if workload is None:
         workload = make_workload(config.workload, seed=config.seed,
                                  **config.workload_kwargs)
+    backend = thread_backend(config, observer=observer, checker=checker)
+    runtime = backend.runtime
     working_set = workload.working_set_pages()
     capacity = config.buffer_pages
     if capacity is None:
         capacity = len(working_set) + 64
     disk = None
     if config.use_disk:
-        disk = DiskArray(sim, machine.costs.disk_read_us,
-                         machine.costs.disk_concurrency, seed=config.seed)
+        disk = backend.disk_class(runtime, machine.costs.disk_read_us,
+                                  machine.costs.disk_concurrency,
+                                  seed=config.seed)
     build: SystemBuild = build_system(
-        config.system, sim, capacity, machine, **bp_kwargs(config),
+        config.system, runtime, capacity, machine, **bp_kwargs(config),
         disk=disk, policy_kwargs=config.policy_kwargs,
         simulate_bucket_locks=config.simulate_bucket_locks)
     if config.controller:
         build.control.controller = make_controller(config.controller)
+    backend.prepare(build)
     manager = build.manager
     if config.prewarm:
         if capacity >= len(working_set):
@@ -415,33 +419,48 @@ def run_experiment(config: ExperimentConfig,
             # be in — schema order would leave the hottest pages cold
             # and bias the measurement window with cold-start misses.
             manager.warm_with(_access_ordered_prefix(workload, capacity))
-    pool = ProcessorPool(sim, config.n_processors,
-                         machine.costs.context_switch_us)
+    pool = backend.create_pool(config.n_processors,
+                               machine.costs.context_switch_us)
     log = TransactionLog()
     shared = {"stop": False, "measuring": config.warmup_fraction == 0.0}
     bgwriter = None
+    daemons = []
     if config.background_writer and disk is not None:
         from repro.bufmgr.bgwriter import BackgroundWriter
-        bgwriter = BackgroundWriter(sim, manager, pool,
+        bg_thread = backend.create_thread(
+            pool, name="bgwriter",
+            seed=split_seed(config.seed, "native-bgwriter", 0))
+        bgwriter = BackgroundWriter(runtime, manager, thread=bg_thread,
                                     shared_stop=shared)
         bgwriter.start()
+        daemons.append((bg_thread, bgwriter.interval_us))
     warmup_accesses = int(config.target_accesses * config.warmup_fraction)
     baseline: Dict[str, object] = {
         "start_us": 0.0, "lock": LockStats(), "accesses": 0,
         "hits": 0, "misses": 0, "transactions": 0,
     }
+    mutex_factory = backend.mutex_factory
+    measure_guard = mutex_factory() if mutex_factory else nullcontext()
+    measure_done = [False]
 
     def begin_measurement() -> None:
-        baseline["start_us"] = sim.now
-        # Window-relative max-hold tracking: reset each live lock's
-        # window so the measured delta cannot leak a warm-up transient.
-        for stats_obj in _live_lock_stats(build):
-            stats_obj.begin_window()
-        baseline["lock"] = _collect_lock_stats(build).copy()
-        baseline["accesses"] = manager.stats.accesses
-        baseline["hits"] = manager.stats.hits
-        baseline["misses"] = manager.stats.misses
-        baseline["transactions"] = log.count
+        # Two OS threads can cross the warm-up threshold together;
+        # only the first snapshot may win or the window base is torn.
+        with measure_guard:
+            if measure_done[0]:
+                return
+            measure_done[0] = True
+            baseline["start_us"] = runtime.now
+            # Window-relative max-hold tracking: reset each live lock's
+            # window so the measured delta cannot leak a warm-up
+            # transient.
+            for stats_obj in _live_lock_stats(build):
+                stats_obj.begin_window()
+            baseline["lock"] = _collect_lock_stats(build).copy()
+            baseline["accesses"] = manager.stats.accesses
+            baseline["hits"] = manager.stats.hits
+            baseline["misses"] = manager.stats.misses
+            baseline["transactions"] = log.count
 
     n_threads = config.resolved_threads()
     # Stagger window: about one queue-fill period, so commit waves
@@ -449,30 +468,36 @@ def run_experiment(config: ExperimentConfig,
     stagger_window = (machine.costs.user_work_us
                       * max(8, config.queue_size))
     slots: List[ThreadSlot] = []
+    threads = []
     for index in range(n_threads):
-        thread = CpuBoundThread(pool, name=f"backend-{index}")
+        thread = backend.create_thread(
+            pool, name=f"backend-{index}",
+            seed=split_seed(config.seed, "native-thread", index))
         slot = ThreadSlot(thread, thread_id=index,
                           queue_size=config.queue_size)
         slots.append(slot)
+        threads.append(thread)
         stagger_rng = stream_rng(config.seed, "stagger", index)
         body = _thread_body(
-            sim, slot, manager, workload.transaction_stream(index), log,
-            shared, config.target_accesses, warmup_accesses,
+            runtime, slot, manager, workload.transaction_stream(index),
+            log, shared, config.target_accesses, warmup_accesses,
             begin_measurement, machine.costs.user_work_us,
             machine.costs.scheduler_quantum_us,
             stagger_us=stagger_rng.uniform(0.0, stagger_window),
             work_rng=stream_rng(config.seed, "work", index))
         thread.start(body)
-    sim.run(until=config.max_sim_time_us)
-    elapsed_total = sim.now
-    if checker is not None and elapsed_total < config.max_sim_time_us:
-        # The event queue drained: every thread reached quiescence, so
-        # leftover lock waiters would mean a lost wakeup.
-        checker.finalize()
-
+    elapsed_total = backend.run(threads, daemons, shared)
     return _finalize_result(config, build, pool, log, slots, baseline,
                             elapsed_total, disk=disk, bgwriter=bgwriter,
                             observer=observer)
+
+
+def _check_warmup(config) -> None:
+    """The warm-up window rule every runtime shares (mp included)."""
+    if not 0.0 <= config.warmup_fraction < 1.0:
+        raise ConfigError(
+            f"warmup_fraction must be in [0, 1), got "
+            f"{config.warmup_fraction}")
 
 
 def _finalize_result(config: ExperimentConfig, build: SystemBuild, pool,
@@ -481,8 +506,8 @@ def _finalize_result(config: ExperimentConfig, build: SystemBuild, pool,
                      disk=None, bgwriter=None, observer=None) -> RunResult:
     """Assemble a :class:`RunResult` from a finished run's state.
 
-    Pure computation shared by both runtime backends; under the sim
-    backend the values are exactly what the historical inline code
+    Pure computation shared by the sim and native runtimes; under the
+    sim the values are exactly what the historical inline code
     produced (golden-trace verified).
     """
     manager = build.manager
@@ -558,180 +583,6 @@ def _finalize_result(config: ExperimentConfig, build: SystemBuild, pool,
                  else None),
         controller=controller_summary,
     )
-
-
-def _run_native(config: ExperimentConfig,
-                workload: Optional[Workload] = None,
-                observer=None, checker=None) -> RunResult:
-    """Execute ``config`` on real OS threads (``runtime="native"``).
-
-    The identical handler/manager/policy code runs, but blocking means
-    blocking an OS thread and ``elapsed_us`` is wall-clock time — a
-    micro-benchmark of *genuine* ``threading.Lock`` contention on the
-    host's cores. Differences from the sim path, all enforced here:
-
-    * no checker (it shadows the sim lock protocol — still sim-only);
-    * the disk model is a :class:`~repro.runtime.native.NativeDisk`
-      (semaphore-bounded, same cost model, real sleeps) and the
-      bgwriter daemon runs on its own native thread, stopped and
-      joined after the backends finish;
-    * lock-free-hit systems (``pgclock``) run hits through the
-      policy's race-tolerant ``on_hit_relaxed`` path — policies
-      without one are rejected;
-    * the observer is wrapped in a
-      :class:`~repro.runtime.native.ThreadSafeObserver`;
-    * every descriptor gets a header lock so pin/unpin are atomic;
-    * ``max_sim_time_us`` becomes the join timeout — the deadlock
-      guard: threads still alive after it raise ``SimulationError``.
-
-    Results are *not* deterministic run-to-run (the kernel schedules),
-    but a single-threaded native run replays accesses in exactly the
-    sim's per-thread order — the cross-runtime equivalence tests rely
-    on that.
-    """
-    import threading
-
-    from repro.errors import SimulationError
-    from repro.policies.base import LockDiscipline
-    from repro.runtime.native import (NativeDisk, NativeRuntime,
-                                      ThreadSafeObserver)
-
-    if checker is not None:
-        raise ConfigError(
-            "the correctness checker shadows the sim lock protocol; "
-            "use runtime='sim' for checked runs")
-    machine = config.machine
-    if config.n_processors > machine.max_processors:
-        raise ConfigError(
-            f"{machine.name} has at most {machine.max_processors} "
-            f"processors, asked for {config.n_processors}")
-    if not 0.0 <= config.warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got "
-            f"{config.warmup_fraction}")
-    if workload is None:
-        workload = make_workload(config.workload, seed=config.seed,
-                                 **config.workload_kwargs)
-    runtime = NativeRuntime(
-        observer=ThreadSafeObserver(observer) if observer is not None
-        else None,
-        seed=config.seed)
-    working_set = workload.working_set_pages()
-    capacity = config.buffer_pages
-    if capacity is None:
-        capacity = len(working_set) + 64
-    disk = None
-    if config.use_disk:
-        disk = NativeDisk(runtime, machine.costs.disk_read_us,
-                          machine.costs.disk_concurrency,
-                          seed=config.seed)
-    build: SystemBuild = build_system(
-        config.system, runtime, capacity, machine, **bp_kwargs(config),
-        disk=disk, policy_kwargs=config.policy_kwargs,
-        simulate_bucket_locks=config.simulate_bucket_locks)
-    if config.controller:
-        build.control.controller = make_controller(config.controller)
-    policy = build.handler.policy
-    if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-            and not hasattr(policy, "on_hit_relaxed")):
-        raise ConfigError(
-            f"policy {policy.name!r} mutates shared state without the "
-            "lock on hits and has no race-tolerant on_hit_relaxed path; "
-            "that combination is only safe under the simulator")
-    manager = build.manager
-    manager.attach_header_locks(threading.Lock)
-    if config.prewarm:
-        if capacity >= len(working_set):
-            manager.warm_with(working_set)
-        else:
-            manager.warm_with(_access_ordered_prefix(workload, capacity))
-    pool = runtime.create_pool(config.n_processors,
-                               machine.costs.context_switch_us)
-    log = TransactionLog()
-    shared = {"stop": False, "measuring": config.warmup_fraction == 0.0}
-    bgwriter = None
-    if config.background_writer and disk is not None:
-        from repro.bufmgr.bgwriter import BackgroundWriter
-        bg_thread = runtime.create_thread(
-            pool, name="bgwriter",
-            seed=split_seed(config.seed, "native-bgwriter", 0))
-        bgwriter = BackgroundWriter(runtime, manager, thread=bg_thread,
-                                    shared_stop=shared)
-        bgwriter.start()
-    warmup_accesses = int(config.target_accesses * config.warmup_fraction)
-    baseline: Dict[str, object] = {
-        "start_us": 0.0, "lock": LockStats(), "accesses": 0,
-        "hits": 0, "misses": 0, "transactions": 0,
-    }
-    measure_mutex = threading.Lock()
-    measure_done = [False]
-
-    def begin_measurement() -> None:
-        # Two threads can cross the warm-up threshold simultaneously;
-        # only the first snapshot may win or the window base is torn.
-        with measure_mutex:
-            if measure_done[0]:
-                return
-            measure_done[0] = True
-            baseline["start_us"] = runtime.now
-            for stats_obj in _live_lock_stats(build):
-                stats_obj.begin_window()
-            baseline["lock"] = _collect_lock_stats(build).copy()
-            baseline["accesses"] = manager.stats.accesses
-            baseline["hits"] = manager.stats.hits
-            baseline["misses"] = manager.stats.misses
-            baseline["transactions"] = log.count
-
-    n_threads = config.resolved_threads()
-    stagger_window = (machine.costs.user_work_us
-                      * max(8, config.queue_size))
-    slots: List[ThreadSlot] = []
-    threads = []
-    for index in range(n_threads):
-        thread = runtime.create_thread(
-            pool, name=f"backend-{index}",
-            seed=split_seed(config.seed, "native-thread", index))
-        slot = ThreadSlot(thread, thread_id=index,
-                          queue_size=config.queue_size)
-        slots.append(slot)
-        threads.append(thread)
-        stagger_rng = stream_rng(config.seed, "stagger", index)
-        body = _thread_body(
-            runtime, slot, manager, workload.transaction_stream(index),
-            log, shared, config.target_accesses, warmup_accesses,
-            begin_measurement, machine.costs.user_work_us,
-            machine.costs.scheduler_quantum_us,
-            stagger_us=stagger_rng.uniform(0.0, stagger_window),
-            work_rng=stream_rng(config.seed, "work", index))
-        thread.start(body)
-    deadline = time.monotonic() + config.max_sim_time_us / 1_000_000.0
-    stuck = []
-    for thread in threads:
-        remaining = deadline - time.monotonic()
-        if not thread.join(timeout=max(0.0, remaining)):
-            stuck.append(thread.name)
-    if bgwriter is not None:
-        # The backends have stopped (or are stuck); either way the
-        # daemon must exit at its next wakeup — one sweep interval.
-        bgwriter.stop()
-        grace = max(0.0, deadline - time.monotonic()) \
-            + 2 * bgwriter.interval_us / 1_000_000.0
-        if not bgwriter.thread.join(timeout=grace):
-            stuck.append(bgwriter.thread.name)
-    if stuck:
-        shared["stop"] = True
-        raise SimulationError(
-            f"native run exceeded its {config.max_sim_time_us / 1e6:.0f}s "
-            f"wall budget; threads still alive: {', '.join(stuck)} "
-            "(possible deadlock)")
-    joined = threads if bgwriter is None else threads + [bgwriter.thread]
-    errors = [t.error for t in joined if t.error is not None]
-    if errors:
-        raise errors[0]
-    elapsed_total = runtime.now
-    return _finalize_result(config, build, pool, log, slots, baseline,
-                            elapsed_total, disk=disk, bgwriter=bgwriter,
-                            observer=observer)
 
 
 def _access_ordered_prefix(workload: Workload, capacity: int):

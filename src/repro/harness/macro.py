@@ -26,7 +26,6 @@ non-zero in the run summary.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, Iterator, List, Optional
@@ -35,15 +34,13 @@ from repro.core.bpwrapper import ThreadSlot
 from repro.db.exec.context import (ExecContext, LiveExecContext,
                                    ShardedExecContext)
 from repro.db.exec.executor import run_plan
-from repro.db.storage import DiskArray
 from repro.db.transactions import TransactionLog, TransactionOutcome
 from repro.control import SERVE_DEFAULTS, bp_kwargs, make_controller
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
 from repro.harness.experiment import _access_ordered_prefix
 from repro.harness.systems import SystemBuild, build_system
-from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Simulator
+from repro.runtime import thread_backend
 from repro.simcore.rng import split_seed, stream_rng
 from repro.sync.stats import LockStats
 from repro.workloads.registry import make_workload
@@ -298,7 +295,12 @@ def _sum_stats(managers) -> dict:
 
 
 def run_macro(config: MacroConfig, workload=None) -> MacroResult:
-    """Execute one macro configuration and return its measurements."""
+    """Execute one macro configuration and return its measurements.
+
+    The sim and native runtimes share this body over the thread
+    backend :func:`repro.runtime.thread_backend` picks; sharded runs
+    are sim-only.
+    """
     if config.runtime not in ("sim", "native"):
         raise ConfigError(
             f"unknown runtime {config.runtime!r}; available: sim, native")
@@ -315,14 +317,14 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
         raise ConfigError(
             f"workload {config.workload!r} has no plan_stream(); the "
             "macro tier needs a query-plan workload (e.g. tpcc_lite)")
-    if config.runtime == "native":
-        return _run_native(config, workload)
+    backend = thread_backend(config)
+    runtime = backend.runtime
     machine = config.machine
-    sim = Simulator()
     disk = None
     if config.use_disk:
-        disk = DiskArray(sim, machine.costs.disk_read_us,
-                         machine.costs.disk_concurrency, seed=config.seed)
+        disk = backend.disk_class(runtime, machine.costs.disk_read_us,
+                                  machine.costs.disk_concurrency,
+                                  seed=config.seed)
 
     shards: List = []
     managers: List = []
@@ -331,8 +333,9 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
         from repro.serve.shard import BufferShard, shard_of
         per_shard = max(16, config.buffer_pages // config.n_shards)
         for shard_id in range(config.n_shards):
-            shard = BufferShard(sim, shard_id, config.system, per_shard,
-                                machine, **bp_kwargs(config), disk=disk)
+            shard = BufferShard(runtime, shard_id, config.system,
+                                per_shard, machine, **bp_kwargs(config),
+                                disk=disk)
             if config.controller:
                 # Per-shard controller instances: each pool adapts to
                 # its own slice's contention independently.
@@ -351,32 +354,41 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
         build = None
     else:
         build: SystemBuild = build_system(
-            config.system, sim, config.buffer_pages, machine,
+            config.system, runtime, config.buffer_pages, machine,
             **bp_kwargs(config), disk=disk)
         if config.controller:
             build.control.controller = make_controller(config.controller)
             controls.append(build.control)
+        backend.prepare(build)
         managers.append(build.manager)
         if config.prewarm:
             build.manager.warm_with(
                 _access_ordered_prefix(workload, config.buffer_pages))
 
-    pool = ProcessorPool(sim, config.n_processors,
-                         machine.costs.context_switch_us)
+    pool = backend.create_pool(config.n_processors,
+                               machine.costs.context_switch_us)
     log = TransactionLog()
     shared: Dict[str, object] = {"stop": False, "queries": 0}
     bgwriter = None
+    daemons = []
     if config.background_writer and disk is not None and build is not None:
         from repro.bufmgr.bgwriter import BackgroundWriter
-        bgwriter = BackgroundWriter(sim, build.manager, pool,
-                                    shared_stop=shared)
+        bg_thread = backend.create_thread(
+            pool, name="bgwriter",
+            seed=split_seed(config.seed, "macro-bgwriter", 0))
+        bgwriter = BackgroundWriter(runtime, build.manager,
+                                    thread=bg_thread, shared_stop=shared)
         bgwriter.start()
+        daemons.append((bg_thread, bgwriter.interval_us))
     n_threads = config.resolved_threads()
     stagger_window = machine.costs.user_work_us * max(8, config.queue_size)
     contexts: List[ExecContext] = []
+    threads = []
     rows_box = [0]
     for index in range(n_threads):
-        thread = CpuBoundThread(pool, name=f"backend-{index}")
+        thread = backend.create_thread(
+            pool, name=f"backend-{index}",
+            seed=split_seed(config.seed, "macro-native", index))
         if shards:
             slots = [ThreadSlot(thread, thread_id=index,
                                 queue_size=config.queue_size)
@@ -386,88 +398,6 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
             slot = ThreadSlot(thread, thread_id=index,
                               queue_size=config.queue_size)
             ctx = LiveExecContext(slot, build.manager)
-        contexts.append(ctx)
-        stagger_rng = stream_rng(config.seed, "macro-stagger", index)
-        body = _query_body(
-            sim, thread, ctx, workload.plan_stream(index), log, shared,
-            config.target_queries, machine.costs.user_work_us,
-            machine.costs.scheduler_quantum_us,
-            stagger_us=stagger_rng.uniform(0.0, stagger_window),
-            work_rng=stream_rng(config.seed, "macro-work", index),
-            rows_box=rows_box)
-        thread.start(body)
-    sim.run(until=config.max_sim_time_us)
-
-    if shards:
-        lock_stats = LockStats()
-        for shard in shards:
-            lock_stats = lock_stats.merged_with(shard.lock_stats())
-    else:
-        merged = getattr(build.handler, "merged_lock_stats", None)
-        lock_stats = merged() if callable(merged) else build.lock.stats
-    totals = _sum_stats(managers)
-    evictions = totals.pop("evictions")
-    return _finalize(config, log, sim.now, contexts, totals, lock_stats,
-                     evictions, disk, bgwriter, rows_box[0],
-                     controls=controls)
-
-
-def _run_native(config: MacroConfig, workload) -> MacroResult:
-    """Macro run on real OS threads (see experiment._run_native)."""
-    import threading
-
-    from repro.errors import SimulationError
-    from repro.policies.base import LockDiscipline
-    from repro.runtime.native import NativeDisk, NativeRuntime
-
-    machine = config.machine
-    runtime = NativeRuntime(seed=config.seed)
-    disk = None
-    if config.use_disk:
-        disk = NativeDisk(runtime, machine.costs.disk_read_us,
-                          machine.costs.disk_concurrency,
-                          seed=config.seed)
-    build: SystemBuild = build_system(
-        config.system, runtime, config.buffer_pages, machine,
-        **bp_kwargs(config), disk=disk)
-    if config.controller:
-        build.control.controller = make_controller(config.controller)
-    policy = build.handler.policy
-    if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-            and not hasattr(policy, "on_hit_relaxed")):
-        raise ConfigError(
-            f"policy {policy.name!r} is unsafe lock-free outside the "
-            "simulator")
-    manager = build.manager
-    manager.attach_header_locks(threading.Lock)
-    if config.prewarm:
-        manager.warm_with(
-            _access_ordered_prefix(workload, config.buffer_pages))
-    pool = runtime.create_pool(config.n_processors,
-                               machine.costs.context_switch_us)
-    log = TransactionLog()
-    shared: Dict[str, object] = {"stop": False, "queries": 0}
-    bgwriter = None
-    if config.background_writer and disk is not None:
-        from repro.bufmgr.bgwriter import BackgroundWriter
-        bg_thread = runtime.create_thread(
-            pool, name="bgwriter",
-            seed=split_seed(config.seed, "macro-bgwriter", 0))
-        bgwriter = BackgroundWriter(runtime, manager, thread=bg_thread,
-                                    shared_stop=shared)
-        bgwriter.start()
-    n_threads = config.resolved_threads()
-    stagger_window = machine.costs.user_work_us * max(8, config.queue_size)
-    contexts: List[ExecContext] = []
-    threads = []
-    rows_box = [0]
-    for index in range(n_threads):
-        thread = runtime.create_thread(
-            pool, name=f"backend-{index}",
-            seed=split_seed(config.seed, "macro-native", index))
-        slot = ThreadSlot(thread, thread_id=index,
-                          queue_size=config.queue_size)
-        ctx = LiveExecContext(slot, manager)
         contexts.append(ctx)
         threads.append(thread)
         stagger_rng = stream_rng(config.seed, "macro-stagger", index)
@@ -479,33 +409,17 @@ def _run_native(config: MacroConfig, workload) -> MacroResult:
             work_rng=stream_rng(config.seed, "macro-work", index),
             rows_box=rows_box)
         thread.start(body)
-    deadline = time.monotonic() + config.max_sim_time_us / 1_000_000.0
-    stuck = []
-    for thread in threads:
-        remaining = deadline - time.monotonic()
-        if not thread.join(timeout=max(0.0, remaining)):
-            stuck.append(thread.name)
-    if bgwriter is not None:
-        bgwriter.stop()
-        grace = max(0.0, deadline - time.monotonic()) \
-            + 2 * bgwriter.interval_us / 1_000_000.0
-        if not bgwriter.thread.join(timeout=grace):
-            stuck.append(bgwriter.thread.name)
-    if stuck:
-        shared["stop"] = True
-        raise SimulationError(
-            f"macro native run exceeded its "
-            f"{config.max_sim_time_us / 1e6:.0f}s wall budget; threads "
-            f"still alive: {', '.join(stuck)} (possible deadlock)")
-    joined = threads if bgwriter is None else threads + [bgwriter.thread]
-    errors = [t.error for t in joined if t.error is not None]
-    if errors:
-        raise errors[0]
-    merged = getattr(build.handler, "merged_lock_stats", None)
-    lock_stats = merged() if callable(merged) else build.lock.stats
-    totals = _sum_stats([manager])
+    elapsed_us = backend.run(threads, daemons, shared)
+
+    if shards:
+        lock_stats = LockStats()
+        for shard in shards:
+            lock_stats = lock_stats.merged_with(shard.lock_stats())
+    else:
+        merged = getattr(build.handler, "merged_lock_stats", None)
+        lock_stats = merged() if callable(merged) else build.lock.stats
+    totals = _sum_stats(managers)
     evictions = totals.pop("evictions")
-    return _finalize(config, log, runtime.now, contexts, totals,
-                     lock_stats, evictions, disk, bgwriter, rows_box[0],
-                     controls=[build.control] if config.controller
-                     else None)
+    return _finalize(config, log, elapsed_us, contexts, totals, lock_stats,
+                     evictions, disk, bgwriter, rows_box[0],
+                     controls=controls)

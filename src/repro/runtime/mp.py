@@ -90,6 +90,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.control.state import bp_kwargs
 from repro.errors import ConfigError, SimulationError
+from repro.runtime import check_checker
 from repro.sync.stats import LockStats
 
 __all__ = [
@@ -588,7 +589,7 @@ def _validate(config) -> None:
         raise ConfigError(
             f"system {config.system!r} has no mp hot path; available: "
             f"{', '.join(MP_SYSTEMS)}")
-    if config.policy_name not in (None, "2q", "lru", "clock"):
+    if config.policy_name is not None:
         raise ConfigError(
             "the mp backend's shared policy core is a fixed LRU list "
             "(clock for pgclock); policy_name cannot be swapped")
@@ -614,7 +615,8 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
     transaction rates, ``elapsed_us`` is the parent-observed span from
     the start barrier to the last join.
     """
-    from repro.harness.experiment import (RunResult, _access_ordered_prefix)
+    from repro.harness.experiment import (RunResult, _access_ordered_prefix,
+                                          _check_warmup)
     from repro.workloads.registry import make_workload
 
     if observer is not None:
@@ -626,15 +628,9 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
                 "metrics-only Observer (metrics=..., trace=None) to "
                 "collect merged per-worker registry snapshots, or use "
                 "runtime='sim' or 'native' for traces")
-    if checker is not None:
-        raise ConfigError(
-            "the correctness checker shadows the sim lock protocol; "
-            "use runtime='sim' for checked runs")
+    check_checker("mp", checker)
     _validate(config)
-    if not 0.0 <= config.warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got "
-            f"{config.warmup_fraction}")
+    _check_warmup(config)
     if workload is None:
         workload = make_workload(config.workload, seed=config.seed,
                                  **config.workload_kwargs)
@@ -736,7 +732,7 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
                 raise SimulationError(
                     f"mp run exceeded its {deadline_s:.0f}s wall "
                     f"budget with {n_workers - len(results)} worker(s) "
-                    "still running (possible deadlock)")
+                    "still running (hung or deadlocked)")
             if status != "ok":
                 raise SimulationError(
                     f"mp worker {index} failed:\n{payload}")

@@ -16,6 +16,12 @@ microseconds:
   body runs inline to completion (see :mod:`repro.runtime.base`).
 * :class:`NativeRuntime` — ``time.monotonic()`` microsecond clock plus
   the ``event()``/``create_lock()`` factories.
+* :class:`NativeBackend` — the OS-thread half of the harness run
+  surface (see :mod:`repro.runtime.sim` for the sim half): the
+  runtime with its observer behind :class:`ThreadSafeObserver`,
+  :class:`NativeDisk`, pool/thread factories, ``threading.Lock`` as
+  the mutex factory, the lock-free-hit check plus header locks as the
+  build-prepare step, and the join deadline as the deadlock guard.
 
 Concurrency model
 -----------------
@@ -26,7 +32,7 @@ is:
 
 * a per-descriptor header lock (``BufferDesc.hdr_lock``, the
   PostgreSQL buffer-header-lock analogue) making pin/unpin atomic —
-  attached by the native experiment runner;
+  attached by :meth:`NativeBackend.prepare`;
 * a small internal mutex per :class:`NativeLock` guarding its stats.
 
 Shared *counters* (``AccessStats``, per-thread accounting) are updated
@@ -55,12 +61,14 @@ import random
 import sys
 import threading
 import time
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Sequence, Tuple
 
-from repro.errors import LockError, SimulationError
+from repro.errors import ConfigError, LockError, SimulationError
+from repro.policies.base import LockDiscipline
 from repro.sync.stats import LockStats
 
 __all__ = [
+    "NativeBackend",
     "NativeDisk",
     "NativeEvent",
     "NativeLock",
@@ -515,11 +523,7 @@ class NativeRuntime:
     name = "native"
 
     def __init__(self, observer: Optional[Any] = None,
-                 checker: Optional[Any] = None, seed: int = 0) -> None:
-        if checker is not None:
-            raise SimulationError(
-                "the correctness checker shadows the sim lock protocol "
-                "and requires the sim runtime")
+                 seed: int = 0) -> None:
         self._origin = time.monotonic()
         #: Obs attachment point; wrap with :class:`ThreadSafeObserver`
         #: before handing it to concurrent threads.
@@ -581,3 +585,88 @@ class ThreadSafeObserver:
         # Cache the bound wrapper so each hook pays the getattr once.
         object.__setattr__(self, name, locked)
         return locked
+
+
+class NativeBackend:
+    """Thread backend over real OS threads (``runtime="native"``).
+
+    The OS-thread twin of :class:`repro.runtime.sim.SimBackend`; the
+    harness run bodies call the same members on both. Results are not
+    deterministic run to run (the kernel schedules), but a
+    single-threaded native run replays accesses in exactly the sim's
+    per-thread order.
+    """
+
+    disk_class = NativeDisk
+    mutex_factory = threading.Lock
+
+    def __init__(self, max_time_us: float, observer: Optional[Any] = None,
+                 seed: int = 0) -> None:
+        #: Wall-clock budget: the join deadline of :meth:`run`.
+        self.max_time_us = max_time_us
+        self.runtime = NativeRuntime(
+            observer=(ThreadSafeObserver(observer)
+                      if observer is not None else None),
+            seed=seed)
+
+    def create_pool(self, n_processors: int,
+                    context_switch_us: float = 0.0) -> NativePool:
+        return self.runtime.create_pool(n_processors, context_switch_us)
+
+    def create_thread(self, pool: NativePool, name: str = "thread",
+                      seed: int = 0) -> NativeThread:
+        return self.runtime.create_thread(pool, name=name, seed=seed)
+
+    def prepare(self, build: Any) -> None:
+        """Make one pool (a ``SystemBuild`` or a serve shard: anything
+        with ``handler`` and ``manager``) safe on OS threads.
+
+        Lock-free-hit policies must have the race-tolerant
+        ``on_hit_relaxed`` path; every descriptor gets a header lock
+        so pin/unpin are atomic.
+        """
+        policy = build.handler.policy
+        if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
+                and not hasattr(policy, "on_hit_relaxed")):
+            raise ConfigError(
+                f"policy {policy.name!r} mutates shared state without the "
+                "lock on hits and has no race-tolerant on_hit_relaxed "
+                "path; that combination is only safe under the simulator")
+        build.manager.attach_header_locks(threading.Lock)
+
+    def run(self, threads: Sequence[NativeThread],
+            daemons: Sequence[Tuple[NativeThread, float]],
+            shared: dict) -> float:
+        """Join the started threads; returns the elapsed wall µs.
+
+        ``max_time_us`` after this call is the deadlock guard: threads
+        still alive then raise :class:`SimulationError`. Once the
+        workers are joined (or stuck), ``shared["stop"]`` tells stuck
+        workers to exit at their next check and the daemons —
+        ``(thread, wakeup interval µs)`` pairs — to exit at their next
+        wakeup, which each gets two intervals of grace for.
+        The first error a thread raised is re-raised here.
+        """
+        budget_s = self.max_time_us / 1_000_000.0
+        deadline = time.monotonic() + budget_s
+        stuck = []
+        for thread in threads:
+            if not thread.join(
+                    timeout=max(0.0, deadline - time.monotonic())):
+                stuck.append(thread.name)
+        shared["stop"] = True
+        for thread, interval_us in daemons:
+            grace = (max(0.0, deadline - time.monotonic())
+                     + 2 * interval_us / 1_000_000.0)
+            if not thread.join(timeout=grace):
+                stuck.append(thread.name)
+        if stuck:
+            raise SimulationError(
+                f"native run exceeded its {budget_s:g}s wall budget; "
+                f"threads still alive: {', '.join(stuck)} "
+                "(possible deadlock)")
+        joined = [*threads, *(thread for thread, _ in daemons)]
+        errors = [t.error for t in joined if t.error is not None]
+        if errors:
+            raise errors[0]
+        return self.runtime.now

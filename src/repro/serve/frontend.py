@@ -31,15 +31,14 @@ which CI enforces (the ``serve-smoke`` job).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.bufmgr.tags import PageId
 from repro.control import bp_kwargs, make_controller
 from repro.core.bpwrapper import ThreadSlot
-from repro.errors import ConfigError, SimulationError
 from repro.obs.telemetry import TelemetrySampler, TraceContext, evaluate_slo
+from repro.runtime import thread_backend
 from repro.serve.config import ServeConfig
 from repro.serve.shard import BufferShard, shard_of
 from repro.serve.tenants import HOT_SPACE, TenantSpec, TenantState
@@ -174,20 +173,15 @@ class ServeFrontend:
     def __init__(self, config: ServeConfig, observer=None,
                  checker=None) -> None:
         config.validate()
-        if checker is not None and config.runtime != "sim":
-            # Must match run_experiment's native rejection verbatim:
-            # one error path for "the checker is sim-only", whichever
-            # entry point is used.
-            raise ConfigError(
-                "the correctness checker shadows the sim lock protocol; "
-                "use runtime='sim' for checked runs")
         self.config = config
         self.observer = observer
-        self.checker = checker
-        self.runtime = None
+        #: The thread backend (refuses a checker off the sim).
+        self.backend = thread_backend(config, observer=observer,
+                                      checker=checker)
+        self.runtime = self.backend.runtime
         self.shards: List[BufferShard] = []
         self.tenants: List[TenantState] = []
-        #: Windowed-telemetry container; created by the runners when
+        #: Windowed-telemetry container; created by :meth:`run` when
         #: ``config.telemetry_interval_us > 0``, else stays None.
         self.sampler: Optional[TelemetrySampler] = None
         self._shared = {"stop": False, "served": 0}
@@ -219,12 +213,10 @@ class ServeFrontend:
                      for block in range(self.config.hot_pages))
         return pages
 
-    def _build(self, runtime, native: bool) -> None:
+    def _build(self) -> None:
         config = self.config
-        mutex_factory = None
-        if native:
-            import threading
-            mutex_factory = threading.Lock
+        backend = self.backend
+        mutex_factory = backend.mutex_factory
         self.tenants = [
             TenantState(spec, config.hot_pages, config.hot_fraction,
                         config.hot_skew,
@@ -244,19 +236,19 @@ class ServeFrontend:
             capacity = max(16, capacity)
             disk = None
             if config.use_disk:
-                from repro.db.storage import DiskArray
-                disk = DiskArray(
-                    runtime, config.machine.costs.disk_read_us,
+                disk = backend.disk_class(
+                    self.runtime, config.machine.costs.disk_read_us,
                     config.machine.costs.disk_concurrency,
                     seed=split_seed(config.seed, "serve-disk", shard_id))
             shard = BufferShard(
-                runtime, shard_id, config.system, capacity,
+                self.runtime, shard_id, config.system, capacity,
                 config.machine, **bp_kwargs(config), disk=disk)
             if config.controller:
                 # One controller instance per shard: each pool tunes
                 # itself from its own replacement lock's contention.
                 shard.control.controller = make_controller(
                     config.controller)
+            backend.prepare(shard)
             if mutex_factory is not None:
                 shard.admit_mutex = mutex_factory()
             shard.warm_with(working_set[:capacity])
@@ -403,11 +395,13 @@ class ServeFrontend:
 
     def _sampler_body(self, runtime,
                       thread) -> Generator[object, None, None]:
-        """Sim-runtime sampler: one thread waking on the fixed cadence.
+        """The telemetry sampler: one daemon thread waking on the fixed
+        cadence.
 
-        Runs as a regular simulated thread, so sampling is part of the
-        deterministic event order — two same-seed runs take identical
-        samples at identical sim times.
+        Under the sim it is a regular simulated thread, so sampling is
+        part of the deterministic event order — two same-seed runs take
+        identical samples at identical sim times. Under native the
+        cadence is wall-clock and best effort.
         """
         interval_us = self.config.telemetry_interval_us
         shared = self._shared
@@ -420,91 +414,24 @@ class ServeFrontend:
     def run(self) -> ServeResult:
         if self._result is not None:
             return self._result
-        if self.config.runtime == "native":
-            self._result = self._run_native()
-        else:
-            self._result = self._run_sim()
-        return self._result
-
-    def _run_sim(self) -> ServeResult:
-        from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-        from repro.simcore.engine import Simulator
-
         config = self.config
-        sim = Simulator()
-        if self.observer is not None:
-            sim.observer = self.observer
-        if self.checker is not None:
-            sim.checker = self.checker
-        self.runtime = sim
-        self._build(sim, native=False)
-        pool = ProcessorPool(sim, config.n_processors,
-                             config.machine.costs.context_switch_us)
-        if config.telemetry_interval_us > 0:
-            self.sampler = TelemetrySampler(config.telemetry_interval_us)
-            sampler_thread = CpuBoundThread(pool, name="telemetry-sampler")
-            sampler_thread.start(self._sampler_body(sim, sampler_thread))
-        for session_index in range(config.n_sessions):
-            tenant = self.tenants[session_index % config.n_tenants]
-            thread = CpuBoundThread(
-                pool, name=f"session-{tenant.spec.name}-"
-                           f"{session_index // config.n_tenants}")
-            slots = {shard.shard_id:
-                     ThreadSlot(thread, thread_id=session_index,
-                                queue_size=config.queue_size)
-                     for shard in self.shards}
-            thread.start(self._session_body(sim, tenant, slots,
-                                            session_index))
-        sim.run(until=config.max_sim_time_us)
-        if self.checker is not None and sim.now < config.max_sim_time_us:
-            self.checker.finalize()
-        return self._finalize(sim.now)
-
-    def _run_native(self) -> ServeResult:
-        import threading
-
-        from repro.runtime.native import NativeRuntime, ThreadSafeObserver
-
-        config = self.config
-        runtime = NativeRuntime(
-            observer=(ThreadSafeObserver(self.observer)
-                      if self.observer is not None else None),
-            seed=config.seed)
-        self.runtime = runtime
-        self._build(runtime, native=True)
-        poller = None
-        poller_stop = threading.Event()
-        if config.telemetry_interval_us > 0:
-            self.sampler = TelemetrySampler(config.telemetry_interval_us)
-
-            def _poll() -> None:
-                # Wall-clock cadence (best effort; the native runtime is
-                # a host micro-benchmark, not a deterministic record).
-                period_s = config.telemetry_interval_us / 1_000_000.0
-                while not poller_stop.wait(period_s):
-                    self._take_sample(runtime.now)
-
-            poller = threading.Thread(target=_poll,
-                                      name="telemetry-sampler",
-                                      daemon=True)
-            poller.start()
-        from repro.policies.base import LockDiscipline
-        for shard in self.shards:
-            policy = shard.handler.policy
-            if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-                    and not hasattr(policy, "on_hit_relaxed")):
-                raise ConfigError(
-                    f"policy {policy.name!r} mutates shared state "
-                    "without the lock on hits and has no race-tolerant "
-                    "on_hit_relaxed path; that combination is only safe "
-                    "under the simulator")
-            shard.manager.attach_header_locks(threading.Lock)
-        pool = runtime.create_pool(config.n_processors,
+        backend = self.backend
+        runtime = self.runtime
+        self._build()
+        pool = backend.create_pool(config.n_processors,
                                    config.machine.costs.context_switch_us)
+        daemons = []
+        if config.telemetry_interval_us > 0:
+            self.sampler = TelemetrySampler(config.telemetry_interval_us)
+            sampler_thread = backend.create_thread(
+                pool, name="telemetry-sampler")
+            sampler_thread.start(self._sampler_body(runtime,
+                                                    sampler_thread))
+            daemons.append((sampler_thread, config.telemetry_interval_us))
         threads = []
         for session_index in range(config.n_sessions):
             tenant = self.tenants[session_index % config.n_tenants]
-            thread = runtime.create_thread(
+            thread = backend.create_thread(
                 pool, name=f"session-{tenant.spec.name}-"
                            f"{session_index // config.n_tenants}",
                 seed=split_seed(config.seed, "serve-native",
@@ -516,29 +443,9 @@ class ServeFrontend:
             threads.append(thread)
             thread.start(self._session_body(runtime, tenant, slots,
                                             session_index))
-        try:
-            deadline = (time.monotonic()
-                        + config.max_sim_time_us / 1_000_000.0)
-            stuck = []
-            for thread in threads:
-                remaining = deadline - time.monotonic()
-                if not thread.join(timeout=max(0.0, remaining)):
-                    stuck.append(thread.name)
-            if stuck:
-                self._shared["stop"] = True
-                raise SimulationError(
-                    f"native serve run exceeded its "
-                    f"{config.max_sim_time_us / 1e6:.0f}s wall budget; "
-                    f"sessions still alive: {', '.join(stuck)} "
-                    "(possible deadlock)")
-            errors = [t.error for t in threads if t.error is not None]
-            if errors:
-                raise errors[0]
-        finally:
-            if poller is not None:
-                poller_stop.set()
-                poller.join(timeout=2.0)
-        return self._finalize(runtime.now)
+        elapsed_us = backend.run(threads, daemons, self._shared)
+        self._result = self._finalize(elapsed_us)
+        return self._result
 
     def _finalize(self, elapsed_us: float) -> ServeResult:
         spec = self.config.slo_spec()

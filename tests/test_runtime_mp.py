@@ -101,6 +101,8 @@ def test_record_round_trip_preserves_runtime():
     (dict(simulate_bucket_locks=True), "simulator ablation"),
     (dict(policy_name="lirs"), "policy_name cannot be swapped"),
     (dict(n_processors=0), ">= 1 worker"),
+    (dict(policy_name="2q"), "policy_name cannot be swapped"),
+    (dict(policy_name="clock"), "policy_name cannot be swapped"),
 ])
 def test_unsupported_configs_are_rejected(overrides, match):
     params = dict(system="pgBat", workload="tablescan", runtime="mp",
