@@ -41,7 +41,6 @@ cannot physically appear.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import sys
@@ -55,6 +54,7 @@ if __name__ == "__main__":  # runnable without an installed package
 from repro.harness.dashboard import render_scaling_page  # noqa: E402
 from repro.harness.experiment import (ExperimentConfig,  # noqa: E402
                                       run_experiment)
+from repro.harness.report import write_artifacts  # noqa: E402
 from repro.runtime.native import true_thread_parallelism  # noqa: E402
 
 __all__ = ["measure_cell", "measure_scaling", "main"]
@@ -195,13 +195,8 @@ def main(argv=None) -> int:
                              backend=args.backend,
                              workload=args.workload,
                              accesses=args.accesses, seed=args.seed)
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "BENCH_scaling.json"
-    json_path.write_text(json.dumps(record, indent=1) + "\n")
-    html_path = out_dir / "scaling.html"
-    html_path.write_text(render_scaling_page(record))
-    print(f"[wrote {json_path} and {html_path}]")
+    write_artifacts(args.out, {"BENCH_scaling.json": record,
+                               "scaling.html": render_scaling_page(record)})
 
     if args.baseline:
         from repro.obs.baseline import append_history

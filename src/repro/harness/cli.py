@@ -40,14 +40,13 @@ exiting non-zero on regression (see ``docs/observability.md``).
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 from typing import Callable, Dict
 
 from repro.harness import figures, tables
-from repro.harness.report import render_table, rows_to_csv
+from repro.harness.report import render_table, rows_to_csv, write_artifacts
 
 __all__ = ["analyze_main", "check_main", "main", "perf_diff_main",
            "run_main", "serve_main", "trace_main", "tune_main"]
@@ -103,15 +102,7 @@ def trace_main(argv=None) -> int:
     result = run_experiment(config, observer=observer)
     elapsed = time.time() - started
 
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = recorder.write_json(out_dir / "trace.json")
-    metrics_path = out_dir / "trace_metrics.json"
-    metrics_path.write_text(json.dumps(result.metrics, indent=1,
-                                       sort_keys=True) + "\n")
     flame = recorder.flame_summary(top=args.top)
-    (out_dir / "trace_summary.txt").write_text(flame + "\n")
-
     print(result.summary())
     print(f"[{len(recorder)} trace records from {result.total_accesses} "
           f"accesses in {elapsed:.1f}s]")
@@ -121,10 +112,10 @@ def trace_main(argv=None) -> int:
               f"timeline has gaps. Raise --ring or lower --accesses. "
               f"(Recorded as trace.dropped_records in the metrics "
               f"snapshot.)", file=sys.stderr)
-    print(f"[wrote {trace_path} — open at https://ui.perfetto.dev or "
-          f"chrome://tracing]")
-    print(f"[wrote {metrics_path}]\n")
-    print(flame)
+    write_artifacts(args.out, {"trace.json": recorder.to_json(),
+                               "trace_metrics.json": result.metrics,
+                               "trace_summary.txt": flame + "\n"})
+    print(f"\n{flame}")
     return 0
 
 
@@ -213,19 +204,17 @@ def run_main(argv=None) -> int:
           f"in {elapsed:.1f}s wall]")
     if args.json:
         target = pathlib.Path(args.json)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(result.to_dict(), indent=1, sort_keys=True) + "\n")
-        print(f"[wrote {args.json}]")
+        write_artifacts(target.parent, {target.name: result.to_dict()})
     return 0
 
 
 def serve_main(argv=None) -> int:
     """The ``serve`` subcommand: sharded multi-tenant serving sweep."""
     from repro.harness.dashboard import (render_serve_page,
-                                         render_telemetry_page)
+                                         render_telemetry_page,
+                                         serve_grid_table, slo_table)
     from repro.obs import (MetricsRegistry, Observer, TraceRecorder,
-                           merge_snapshots, write_openmetrics)
+                           merge_snapshots, to_openmetrics)
     from repro.serve import ServeConfig, serve_grid
 
     parser = argparse.ArgumentParser(
@@ -388,75 +377,34 @@ def serve_main(argv=None) -> int:
                         progress=progress)
     elapsed = time.time() - started
 
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / "serve.json"
-    record_path.write_text(json.dumps(record, indent=1,
-                                      sort_keys=True) + "\n")
-    dashboard_path = out_dir / "serve_dashboard.html"
-    dashboard_path.write_text(render_serve_page(record))
-
-    cells = record["cells"]
-    print(render_table(
-        ["cell", "requests", "req/s", "cont/M", "hit ratio",
-         "throttled", "backpressured"],
-        [[f'{c["n_shards"]}s×{c["n_tenants"]}t@θ{c["skew"]:g}',
-          c["requests"], f'{c["requests_per_sec"]:.1f}',
-          f'{c["contention_per_million"]:.1f}',
-          f'{c["hit_ratio"]:.4f}',
-          sum(t["throttled"] for t in c["tenants"]),
-          sum(s["backpressure_events"] for s in c["shards"])]
-         for c in cells],
-        title=f"Serve grid — {args.runtime} runtime"))
-
-    slo_rows = []
-    for result in results:
-        cell = (f"{result.config.n_shards}s×"
-                f"{result.config.n_tenants}t@θ{result.config.skew:g}")
-        for rec in result.slo_records or []:
-            slo_rows.append(
-                [cell, rec["tenant"], f'{rec["achieved_p99_ms"]:.3f}',
-                 f'{rec["latency_burn_rate"]:.2f}',
-                 f'{rec["throttle_burn_rate"]:.2f}',
-                 "ok" if rec["ok"] else "VIOLATED"])
+    print(render_table(*serve_grid_table(record),
+                       title=f"Serve grid — {args.runtime} runtime"))
+    slo_headers, slo_rows = slo_table(record)
     if slo_rows:
         print(render_table(
-            ["cell", "tenant", "p99 ms", "latency burn",
-             "throttle burn", "slo"],
-            slo_rows,
+            slo_headers, slo_rows,
             title=f"Per-tenant SLOs — p99 ≤ {args.slo_p99_ms:g} ms, "
                   f"budget {args.slo_error_budget:g}"))
-    print(f"[{len(cells)} cells in {elapsed:.1f}s wall]")
-    print(f"[wrote {record_path}]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
+    print(f"[{len(record['cells'])} cells in {elapsed:.1f}s wall]")
 
+    files = {"serve.json": record,
+             "serve_dashboard.html": render_serve_page(record)}
     if args.telemetry:
-        snapshots = [r.metrics for r in results if r.metrics is not None]
-        prom_path = pathlib.Path(args.telemetry)
-        prom_path.parent.mkdir(parents=True, exist_ok=True)
-        write_openmetrics(prom_path, merge_snapshots(snapshots))
-        print(f"[wrote {prom_path} — OpenMetrics text, "
-              f"{len(snapshots)} cell snapshots merged]")
-        timeseries = {}
-        for result in results:
-            if result.telemetry is None:
-                continue
-            label = (f"{result.config.n_shards}s-"
-                     f"{result.config.n_tenants}t-"
-                     f"skew{result.config.skew:g}")
-            timeseries[label] = result.telemetry
-        timeseries_path = out_dir / "timeseries.json"
-        timeseries_path.write_text(json.dumps(timeseries, indent=1,
-                                              sort_keys=True) + "\n")
-        telemetry_dash = out_dir / "telemetry_dashboard.html"
-        telemetry_dash.write_text(render_telemetry_page(record, timeseries))
-        print(f"[wrote {timeseries_path}]")
-        print(f"[wrote {telemetry_dash} — open in any browser]")
-    if recorders:
-        trace_path = out_dir / "trace.json"
-        recorders[0].write_json(trace_path)
-        print(f"[wrote {trace_path} — first cell's request-scoped "
-              f"trace; load in chrome://tracing or ui.perfetto.dev]")
+        timeseries = {
+            f"{r.config.n_shards}s-{r.config.n_tenants}t-"
+            f"skew{r.config.skew:g}": r.telemetry
+            for r in results if r.telemetry is not None}
+        files["timeseries.json"] = timeseries
+        files["telemetry_dashboard.html"] = render_telemetry_page(
+            record, timeseries)
+    if recorders:  # the first cell's request-scoped trace
+        files["trace.json"] = recorders[0].to_json()
+    write_artifacts(args.out, files)
+    if args.telemetry:
+        prom = pathlib.Path(args.telemetry)
+        write_artifacts(prom.parent, {prom.name: to_openmetrics(
+            merge_snapshots([r.metrics for r in results
+                             if r.metrics is not None]))})
 
     if args.baseline:
         from repro.obs.baseline import append_history
@@ -483,7 +431,9 @@ def serve_main(argv=None) -> int:
 
 def macro_main(argv=None) -> int:
     """The ``macro`` subcommand: query-execution macro workload."""
-    from repro.harness.dashboard import render_macro_page
+    from repro.harness.dashboard import (macro_grid_table,
+                                         macro_operator_table,
+                                         render_macro_page)
     from repro.harness.macro import MacroConfig, run_macro
     from repro.workloads.registry import make_workload
 
@@ -579,34 +529,14 @@ def macro_main(argv=None) -> int:
         "seed": args.seed,
         "cells": [cell.to_dict() for cell in cells],
     }
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / "macro.json"
-    record_path.write_text(json.dumps(record, indent=1,
-                                      sort_keys=True) + "\n")
-    dashboard_path = out_dir / "macro_dashboard.html"
-    dashboard_path.write_text(render_macro_page(record))
-
-    print(render_table(
-        ["cell", "queries", "qps", "hit ratio", "write-backs",
-         "pin skips", "stale hits", "cont/M"],
-        [[f'{c.config.system}'
-          + (f'/{c.config.n_shards}sh' if c.config.n_shards else ''),
-          c.queries, f"{c.queries_per_sec:.1f}", f"{c.hit_ratio:.4f}",
-          c.write_backs, c.pinned_victim_skips, c.stale_hit_retries,
-          f"{c.lock_stats.contentions_per_million(c.accesses):.1f}"]
-         for c in cells],
-        title=f"Macro grid — {args.runtime} runtime"))
-    detail = max(cells, key=lambda c: c.accesses)
-    print(render_table(
-        ["operator", "accesses", "writes", "hits"],
-        [[name, entry["accesses"], entry["writes"], entry["hits"]]
-         for name, entry in sorted(detail.op_breakdown.items(),
-                                   key=lambda item: -item[1]["accesses"])],
-        title=f"Per-operator page accesses — {detail.config.system}"))
+    print(render_table(*macro_grid_table(record),
+                       title=f"Macro grid — {args.runtime} runtime"))
+    op_title, op_headers, op_rows = macro_operator_table(record)
+    print(render_table(op_headers, op_rows, title=op_title))
     print(f"[{len(cells)} cells in {elapsed:.1f}s wall]")
-    print(f"[wrote {record_path}]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
+    write_artifacts(args.out, {"macro.json": record,
+                               "macro_dashboard.html":
+                                   render_macro_page(record)})
 
     if args.baseline:
         from repro.obs.baseline import append_history
@@ -664,14 +594,6 @@ def analyze_main(argv=None) -> int:
     analysis = analyze_grid(results, recorders)
     elapsed = time.time() - started
 
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dashboard_path = out_dir / "dashboard.html"
-    dashboard_path.write_text(render_dashboard(analysis))
-    analysis_path = out_dir / "analysis.json"
-    analysis_path.write_text(json.dumps(analysis, indent=1,
-                                        sort_keys=True) + "\n")
-
     headers, rows = scaling_table(analysis["scaling"])
     print(render_table(headers, rows, title="Sweep grid"))
     for run in analysis["runs"]:
@@ -691,15 +613,16 @@ def analyze_main(argv=None) -> int:
             print(render_table(headers, rows,
                                title=f"Blocked time — {title}"))
     print(f"\n[{len(results)} observed runs analyzed in {elapsed:.1f}s]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
-    print(f"[wrote {analysis_path}]")
+    write_artifacts(args.out, {"dashboard.html": render_dashboard(analysis),
+                               "analysis.json": analysis})
     return 0
 
 
 def tune_main(argv=None) -> int:
     """The ``tune`` subcommand: control-plane sweep + adapter probe."""
     from repro.control.tune import TuneConfig, run_tune
-    from repro.harness.dashboard import render_tune_page
+    from repro.harness.dashboard import (render_tune_page, tune_cell_label,
+                                         tune_grid_table)
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli tune",
@@ -772,29 +695,13 @@ def tune_main(argv=None) -> int:
     record = run_tune(config)
     elapsed = time.time() - started
 
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / "tune.json"
-    record_path.write_text(json.dumps(record, indent=1,
-                                      sort_keys=True) + "\n")
-    dashboard_path = out_dir / "tune_dashboard.html"
-    dashboard_path.write_text(render_tune_page(record))
-
     best = record["static_best"]
     adapter = record["adapter"]
-    print(render_table(
-        ["cell", "threshold", "tps", "cont/M", "cont/access",
-         "hit ratio", "mean batch"],
-        [[f'q{c["queue_size"]} {c["system"]}', c["batch_threshold"],
-          f'{c["throughput_tps"]:.1f}',
-          f'{c["contention_per_million"]:.1f}',
-          f'{c["contention_rate"]:.4f}', f'{c["hit_ratio"]:.4f}',
-          f'{c["mean_batch_size"]:.1f}']
-         for c in record["grid"]],
-        title=f'Tune grid — {record["workload"]}, '
-              f'{record["buffer_pages"]} buffer pages'))
+    print(render_table(*tune_grid_table(record),
+                       title=f'Tune grid — {record["workload"]}, '
+                             f'{record["buffer_pages"]} buffer pages'))
     print(f'\nstatic best: threshold {best["batch_threshold"]} on '
-          f'q{best["queue_size"]} {best["system"]} — '
+          f'{tune_cell_label(best)} — '
           f'{best["throughput_tps"]:.1f} tps')
     controller = adapter["controller"] or {}
     print(f'adapter:     threshold {adapter["start_threshold"]} -> '
@@ -808,8 +715,9 @@ def tune_main(argv=None) -> int:
         verdict = "ok" if entry["ok"] else "BELOW FLOOR"
         print(f'adaptive:    {entry["workload"]} ({ratios}) {verdict}')
     print(f"[{len(record['grid'])} cells in {elapsed:.1f}s wall]")
-    print(f"[wrote {record_path}]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
+    write_artifacts(args.out, {"tune.json": record,
+                               "tune_dashboard.html":
+                                   render_tune_page(record)})
 
     if args.baseline:
         from repro.obs.baseline import append_history
@@ -886,9 +794,8 @@ def perf_diff_main(argv=None) -> int:
           row["status"]] for row in diff.rows],
         title=f"Perf diff vs {args.baseline}"))
     if args.json:
-        pathlib.Path(args.json).write_text(
-            json.dumps(diff.rows, indent=1, sort_keys=True) + "\n")
-        print(f"[wrote {args.json}]")
+        target = pathlib.Path(args.json)
+        write_artifacts(target.parent, {target.name: diff.rows})
     if args.mode == "update":
         record_baseline(args.baseline, current, note=args.note)
         print(f"[baseline updated: {args.baseline}]")
@@ -1056,10 +963,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = list(_ARTIFACTS) if "all" in args.artifacts else args.artifacts
-    csv_dir = pathlib.Path(args.csv) if args.csv else None
-    if csv_dir is not None:
-        csv_dir.mkdir(parents=True, exist_ok=True)
-
     for name in names:
         driver = _ARTIFACTS[name]
         started = time.time()
@@ -1073,10 +976,9 @@ def main(argv=None) -> int:
         except TypeError:  # table drivers have no charts
             print(result.render())
         print(f"[{name} regenerated in {elapsed:.1f}s]\n")
-        if csv_dir is not None:
-            path = csv_dir / f"{name}.csv"
-            path.write_text(rows_to_csv(result.headers, result.rows))
-            print(f"[wrote {path}]\n")
+        if args.csv:
+            write_artifacts(args.csv, {
+                f"{name}.csv": rows_to_csv(result.headers, result.rows)})
     return 0
 
 

@@ -1,38 +1,41 @@
-"""Self-contained HTML dashboard for an analyzed sweep grid.
+"""Self-contained HTML pages for the sweep subcommands.
 
-:func:`render_dashboard` turns one :func:`repro.obs.analyze.analyze_grid`
-document into a single HTML file with zero external references — CSS
-inline, charts as inline SVG from :mod:`repro.harness.plots` — so the
-file can ride along as a CI artifact and open anywhere, offline.
+Every page — :func:`render_dashboard` for an
+:func:`repro.obs.analyze.analyze_grid` document, and the scaling,
+serve, telemetry, tune and macro pages for their records — is a small
+spec (title, subtitle facts, stat tiles, cards, footer) rendered
+through one HTML shell, :func:`_page`, into a single file with zero
+external references — CSS inline, charts as inline SVG from
+:mod:`repro.harness.plots` — so the file can ride along as a CI
+artifact and open anywhere, offline. The serve, macro and tune grid
+tables are built once as ``(headers, rows)``: the pages render them
+and the CLI prints them.
 
-Layout: a stat-tile row (the headline numbers), throughput /
-lock-cost scaling curves, the contention heatmap per (system x CPUs),
-then the derived tables (scaling grid, per-lock breakdown, warm-up
-cost, blocked-time attribution, merged cross-run percentiles). Every
-chart has a table twin on the same page, so no value is readable only
-by color or hover.
+Every chart has a table twin on the same page, so no value is readable
+only by color or hover. Colors live in CSS custom properties with
+explicit light and dark values (the SVG marks are classed, not
+inline-styled); categorical hues are assigned to systems in fixed slot
+order, never cycled.
 
-Colors live in CSS custom properties with explicit light and dark
-values (the SVG marks are classed, not inline-styled); categorical
-hues are assigned to systems in fixed slot order, never cycled.
-
-Determinism: the output is a pure function of the analysis document —
-no dates, no random ids — so two same-seed runs produce byte-identical
-dashboards (tested, and CI diffs them).
+Determinism: the output is a pure function of the input document — no
+dates, no random ids — so two same-seed runs produce byte-identical
+pages (``tests/test_artifact_determinism.py`` checks this across two
+processes).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.harness.plots import svg_heatmap, svg_line_chart, svg_sparkline
 from repro.harness.report import format_number
 from repro.obs.analyze import (attribution_table, breakdown_table,
                                scaling_table, warmup_table)
 
-__all__ = ["render_dashboard", "render_macro_page",
-           "render_scaling_page", "render_serve_page",
-           "render_telemetry_page", "render_tune_page"]
+__all__ = ["macro_grid_table", "macro_operator_table", "render_dashboard",
+           "render_macro_page", "render_scaling_page", "render_serve_page",
+           "render_telemetry_page", "render_tune_page", "serve_grid_table",
+           "slo_table", "tune_cell_label", "tune_grid_table"]
 
 #: Categorical slots (validated order; hue follows the system, never
 #: its rank) and the 13-step sequential blue ramp for the heatmap.
@@ -162,22 +165,69 @@ footer {{ color: var(--text-muted); font-size: 12px;
 """
 
 
-def _tile(label: str, value: str, detail: str = "") -> str:
-    detail_html = (f'<div class="detail">{_escape(detail)}</div>'
-                   if detail else "")
+class _Raw(str):
+    """A table cell holding markup that :func:`_table` emits verbatim."""
+
+
+def _cell(cell: object) -> str:
+    return cell if isinstance(cell, _Raw) else _escape(format_number(cell))
+
+
+def _tile(label: str, value: str, detail: str) -> str:
     return (f'<div class="tile"><div class="label">{_escape(label)}'
             f'</div><div class="value">{_escape(value)}</div>'
-            f'{detail_html}</div>')
+            f'<div class="detail">{_escape(detail)}</div></div>')
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _table(headers: Sequence[str], rows: Sequence[Sequence[object]],
+           row_class: str = "") -> str:
     head = "".join(f"<th>{_escape(h)}</th>" for h in headers)
+    tr = f'<tr class="{row_class}">' if row_class else "<tr>"
     body = "".join(
-        "<tr>" + "".join(f"<td>{_escape(format_number(cell))}</td>"
-                         for cell in row) + "</tr>"
+        tr + "".join(f"<td>{_cell(cell)}</td>" for cell in row) + "</tr>"
         for row in rows)
     return (f"<table><thead><tr>{head}</tr></thead>"
             f"<tbody>{body}</tbody></table>")
+
+
+def _card(heading: str, body: str) -> str:
+    return f'<div class="card"><h2>{_escape(heading)}</h2>{body}</div>'
+
+
+def _row(*cards: str) -> str:
+    return "\n".join(['<div class="row">', *cards, "</div>"])
+
+
+def _page(title: str, facts: Sequence[str],
+          tiles: Sequence[Tuple[str, str, str]], cards: Sequence[str],
+          command: str, note: str) -> str:
+    """The one HTML shell every page renders through.
+
+    ``facts`` are the subtitle's plain-text facts, ``tiles`` the
+    headline ``(label, value, detail)`` triples, ``cards`` ready-made
+    card (or row) markup in page order; the footer names ``command``
+    and adds ``note`` (markup).
+    """
+    sections = [
+        f"<h1>{_escape(title)}</h1>",
+        f'<p class="subtitle">'
+        f'{" &middot; ".join(_escape(fact) for fact in facts)}</p>',
+        '<div class="tiles">', *(_tile(*tile) for tile in tiles), "</div>",
+        *cards,
+        f"<footer>Generated by <code>{command}</code> — {note}</footer>",
+    ]
+    body = "\n".join(sections)
+    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
+            f"<meta charset=\"utf-8\"/>\n"
+            f"<meta name=\"viewport\" content=\"width=device-width, "
+            f"initial-scale=1\"/>\n"
+            f"<title>{_escape(title)}</title>\n"
+            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
+            f"</body>\n</html>\n")
+
+
+def _joined(values) -> str:
+    return ", ".join(str(value) for value in values)
 
 
 def _legend(systems: Sequence[str]) -> str:
@@ -188,18 +238,16 @@ def _legend(systems: Sequence[str]) -> str:
     return f'<div class="legend">{keys}</div>'
 
 
-def _series(scaling: List[dict], systems: Sequence[str],
+def _series(rows: List[dict], systems: Sequence[str], x_key: str,
             value_key: str) -> Dict[str, list]:
     return {
-        system: [(row["processors"], row[value_key])
-                 for row in scaling if row["system"] == system]
+        system: [(row[x_key], row[value_key])
+                 for row in rows if row["system"] == system]
         for system in systems
     }
 
 
-def render_scaling_page(record: dict,
-                        title: str = "Wall-clock scaling (Fig. 6/7)"
-                        ) -> str:
+def render_scaling_page(record: dict) -> str:
     """One ``bench_scaling`` record -> one self-contained HTML page.
 
     The wall-clock twin of :func:`render_dashboard`'s simulated-time
@@ -213,13 +261,6 @@ def render_scaling_page(record: dict,
     systems: List[str] = record["systems"]
     workers: List[int] = record["workers"]
     cells: List[dict] = record["cells"]
-
-    def series_of(value_key: str) -> Dict[str, list]:
-        return {
-            system: [(cell["workers"], cell[value_key])
-                     for cell in cells if cell["system"] == system]
-            for system in systems
-        }
 
     def cell_at(system: str, n_workers: int) -> dict:
         for cell in cells:
@@ -238,46 +279,24 @@ def render_scaling_page(record: dict,
         if base > 0:
             gap = batch / base
 
+    tiles = [("Peak access rate", format_number(peak),
+              "accesses / sec, wall clock")]
+    if gap is not None:
+        tiles.append((f"{batched} / {locked} @ {top} workers",
+                      format_number(gap), "wall-clock access-rate ratio"))
+    tiles.append(("Host CPUs", str(record["host_cpus"]),
+                  "GIL " + ("on" if record.get("gil_enabled", True)
+                            else "off")))
+    tiles.append(("Cells", str(len(cells)), "system x worker-count runs"))
+
     legend = _legend(systems)
     events_chart = svg_line_chart(
-        series_of("events_per_sec"),
+        _series(cells, systems, "workers", "events_per_sec"),
         y_label="accesses / sec (wall)", value_unit=" acc/s")
     contention_chart = svg_line_chart(
-        series_of("contention_per_million"),
+        _series(cells, systems, "workers", "contention_per_million"),
         y_label="contentions / M accesses", log_y=True,
         value_unit=" cont/M")
-
-    sections: List[str] = []
-    sections.append(f"<h1>{_escape(title)}</h1>")
-    sections.append(
-        f'<p class="subtitle">backend {_escape(record["backend"])} '
-        f'&middot; workload {_escape(record["workload"])} &middot; '
-        f'host cpus {_escape(record["host_cpus"])} &middot; '
-        f'workers {_escape(", ".join(str(w) for w in workers))} '
-        f'&middot; seed {_escape(record["seed"])}</p>')
-
-    sections.append('<div class="tiles">')
-    sections.append(_tile("Peak access rate", format_number(peak),
-                          "accesses / sec, wall clock"))
-    if gap is not None:
-        sections.append(_tile(
-            f"{batched} / {locked} @ {top} workers",
-            format_number(gap),
-            "wall-clock access-rate ratio"))
-    sections.append(_tile("Host CPUs", str(record["host_cpus"]),
-                          "GIL " + ("on" if record.get("gil_enabled",
-                                                       True) else "off")))
-    sections.append(_tile("Cells", str(len(cells)),
-                          "system x worker-count runs"))
-    sections.append("</div>")
-
-    sections.append('<div class="row">')
-    sections.append(f'<div class="card"><h2>Access rate scaling</h2>'
-                    f'{legend}{events_chart}</div>')
-    sections.append(f'<div class="card"><h2>Lock contention</h2>'
-                    f'{legend}{contention_chart}</div>')
-    sections.append("</div>")
-
     headers = ["system", "workers", "acc/s", "tps", "cont/M",
                "lock us/acc", "resp ms", "cpu util", "wall s"]
     rows = [[cell["system"], cell["workers"], cell["events_per_sec"],
@@ -285,22 +304,18 @@ def render_scaling_page(record: dict,
              cell["lock_time_per_access_us"], cell["mean_response_ms"],
              cell["cpu_utilization"], cell["wall_s"]]
             for cell in cells]
-    sections.append(f'<div class="card"><h2>Scaling grid</h2>'
-                    f'{_table(headers, rows)}</div>')
-
-    sections.append(
-        "<footer>Generated by <code>benchmarks/bench_scaling.py</code> "
-        "— wall-clock rates are host-dependent; compare shapes, not "
-        "absolute numbers, across machines.</footer>")
-
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(
+        "Wall-clock scaling (Fig. 6/7)",
+        [f'backend {record["backend"]}', f'workload {record["workload"]}',
+         f'host cpus {record["host_cpus"]}', f"workers {_joined(workers)}",
+         f'seed {record["seed"]}'],
+        tiles,
+        [_row(_card("Access rate scaling", legend + events_chart),
+              _card("Lock contention", legend + contention_chart)),
+         _card("Scaling grid", _table(headers, rows))],
+        "benchmarks/bench_scaling.py",
+        "wall-clock rates are host-dependent; compare shapes, not "
+        "absolute numbers, across machines.")
 
 
 def _serve_cell_label(cell: dict) -> str:
@@ -308,9 +323,35 @@ def _serve_cell_label(cell: dict) -> str:
             f'@θ{cell["skew"]:g}')
 
 
-def render_serve_page(record: dict,
-                      title: str = "Sharded serving layer"
-                      ) -> str:
+def _largest_serve_cell(cells: List[dict]) -> dict:
+    return max(cells, key=lambda c: (c["n_shards"] * c["n_tenants"],
+                                     c["skew"]))
+
+
+def serve_grid_table(record: dict) -> Tuple[List[str], List[list]]:
+    """A serve-grid record's per-cell table, as ``(headers, rows)``."""
+    return (["cell", "req/s", "cont/M", "hit ratio", "throttled",
+             "backpressured", "peak depth"],
+            [[_serve_cell_label(cell), cell["requests_per_sec"],
+              cell["contention_per_million"], cell["hit_ratio"],
+              sum(t["throttled"] for t in cell["tenants"]),
+              sum(s["backpressure_events"] for s in cell["shards"]),
+              max((s["peak_in_flight"] for s in cell["shards"]),
+                  default=0)]
+             for cell in record["cells"]])
+
+
+def slo_table(record: dict) -> Tuple[List[str], List[list]]:
+    """Every cell's per-tenant SLO verdicts, as ``(headers, rows)``."""
+    return (["cell", "tenant", "p99 ms", "latency burn", "throttle burn",
+             "status"],
+            [[_serve_cell_label(cell), slo["tenant"],
+              slo["achieved_p99_ms"], slo["latency_burn_rate"],
+              slo["throttle_burn_rate"], "ok" if slo["ok"] else "VIOLATED"]
+             for cell in record["cells"] for slo in cell.get("slo", [])])
+
+
+def render_serve_page(record: dict) -> str:
     """One ``serve-grid`` record -> one self-contained HTML page.
 
     The centerpiece is the per-shard contention heatmap: one row per
@@ -325,75 +366,28 @@ def render_serve_page(record: dict,
     cells: List[dict] = record["cells"]
     max_shards = max((cell["n_shards"] for cell in cells), default=0)
 
-    row_labels = [_serve_cell_label(cell) for cell in cells]
-    col_labels = [f"shard{j}" for j in range(max_shards)]
     values = [
         [cell["shards"][j]["contention_per_million"]
          if j < cell["n_shards"] else None
          for j in range(max_shards)]
         for cell in cells
     ]
-    heat = svg_heatmap(row_labels, col_labels, values,
+    heat = svg_heatmap([_serve_cell_label(cell) for cell in cells],
+                       [f"shard{j}" for j in range(max_shards)], values,
                        value_unit=" cont/M")
 
     peak_rate = max((cell["requests_per_sec"] for cell in cells),
                     default=0.0)
-    worst_shard = 0.0
-    for row in values:
-        for value in row:
-            if value is not None:
-                worst_shard = max(worst_shard, value)
+    worst_shard = max((value for row in values for value in row
+                       if value is not None), default=0.0)
     total_requests = sum(cell["requests"] for cell in cells)
     throttled = sum(tenant["throttled"] for cell in cells
                     for tenant in cell["tenants"])
     backpressured = sum(shard["backpressure_events"] for cell in cells
                         for shard in cell["shards"])
 
-    sections: List[str] = []
-    sections.append(f"<h1>{_escape(title)}</h1>")
-    sections.append(
-        f'<p class="subtitle">system {_escape(record["system"])} '
-        f'&middot; runtime {_escape(record["runtime"])} &middot; '
-        f'shards {_escape(", ".join(str(s) for s in record["shards"]))} '
-        f'&middot; tenants '
-        f'{_escape(", ".join(str(t) for t in record["tenants"]))} '
-        f'&middot; skews '
-        f'{_escape(", ".join(f"{s:g}" for s in record["skews"]))} '
-        f'&middot; seed {_escape(record["seed"])}</p>')
-
-    sections.append('<div class="tiles">')
-    sections.append(_tile("Peak request rate", format_number(peak_rate),
-                          "requests / simulated sec"))
-    sections.append(_tile("Worst shard contention",
-                          format_number(worst_shard),
-                          "per million accesses"))
-    sections.append(_tile("Requests served", format_number(total_requests),
-                          f"across {len(cells)} cells"))
-    sections.append(_tile("Admission pushback",
-                          format_number(throttled + backpressured),
-                          f"{throttled} throttled, "
-                          f"{backpressured} backpressured"))
-    sections.append("</div>")
-
-    sections.append(f'<div class="card"><h2>Per-shard contention '
-                    f'(per million accesses)</h2>{heat}</div>')
-
-    grid_headers = ["cell", "req/s", "cont/M", "hit ratio",
-                    "throttled", "backpressured", "peak depth"]
-    grid_rows = [[
-        _serve_cell_label(cell), cell["requests_per_sec"],
-        cell["contention_per_million"], cell["hit_ratio"],
-        sum(t["throttled"] for t in cell["tenants"]),
-        sum(s["backpressure_events"] for s in cell["shards"]),
-        max((s["peak_in_flight"] for s in cell["shards"]), default=0),
-    ] for cell in cells]
-    sections.append(f'<div class="card"><h2>Sweep grid</h2>'
-                    f'{_table(grid_headers, grid_rows)}</div>')
-
     # Drill into the largest cell: per-shard and per-tenant detail.
-    detail = max(cells, key=lambda c: (c["n_shards"] * c["n_tenants"],
-                                       c["skew"]))
-    name = _serve_cell_label(detail)
+    detail = _largest_serve_cell(cells)
     shard_headers = ["shard", "capacity", "accesses", "hit ratio",
                      "cont/M", "lock wait us", "peak depth",
                      "backpressured"]
@@ -409,28 +403,37 @@ def render_serve_page(record: dict,
                     t["latency_mean_ms"], t["latency_p95_ms"],
                     t["latency_max_ms"]]
                    for t in detail["tenants"]]
-    sections.append(
-        f'<div class="card"><h2>{_escape(name)} — shards</h2>'
-        f'{_table(shard_headers, shard_rows)}'
-        f'<h3>Tenants</h3>{_table(tenant_headers, tenant_rows)}</div>')
-
-    sections.append(
-        "<footer>Generated by <code>repro.harness.cli serve</code> — "
+    return _page(
+        "Sharded serving layer",
+        [f'system {record["system"]}', f'runtime {record["runtime"]}',
+         f'shards {_joined(record["shards"])}',
+         f'tenants {_joined(record["tenants"])}',
+         f'skews {", ".join(f"{s:g}" for s in record["skews"])}',
+         f'seed {record["seed"]}'],
+        [("Peak request rate", format_number(peak_rate),
+          "requests / simulated sec"),
+         ("Worst shard contention", format_number(worst_shard),
+          "per million accesses"),
+         ("Requests served", format_number(total_requests),
+          f"across {len(cells)} cells"),
+         ("Admission pushback", format_number(throttled + backpressured),
+          f"{throttled} throttled, {backpressured} backpressured")],
+        [_card("Per-shard contention (per million accesses)", heat),
+         _card("Sweep grid", _table(*serve_grid_table(record))),
+         _card(f"{_serve_cell_label(detail)} — shards",
+               _table(shard_headers, shard_rows) + "<h3>Tenants</h3>"
+               + _table(tenant_headers, tenant_rows))],
+        "repro.harness.cli serve",
         "deterministic for a given seed on the sim runtime; see "
-        "docs/architecture.md &sect;11.</footer>")
-
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+        "docs/architecture.md &sect;11.")
 
 
-def render_telemetry_page(record: dict, timeseries: Dict[str, dict],
-                          title: str = "Serving telemetry") -> str:
+_SLO_STATUS = {"ok": _Raw('<span class="slo-ok">ok</span>'),
+               "VIOLATED": _Raw('<span class="slo-bad">VIOLATED</span>')}
+
+
+def render_telemetry_page(record: dict,
+                          timeseries: Dict[str, dict]) -> str:
     """Serve-grid record + per-cell telemetry -> one ops page.
 
     Three layers, coarse to fine: SLO tiles and the per-tenant burn
@@ -444,57 +447,20 @@ def render_telemetry_page(record: dict, timeseries: Dict[str, dict],
     the other pages: byte-identical output for identical inputs.
     """
     cells: List[dict] = record["cells"]
-    slo_rows = [(cell, slo) for cell in cells
-                for slo in cell.get("slo", [])]
-    violations = sum(1 for _, slo in slo_rows if not slo["ok"])
-    worst_p99 = max((slo["achieved_p99_ms"] for _, slo in slo_rows),
-                    default=0.0)
-    worst_burn = max((slo["latency_burn_rate"] for _, slo in slo_rows),
+    slo_headers, slo_rows = slo_table(record)
+    slos = [slo for cell in cells for slo in cell.get("slo", [])]
+    violations = sum(1 for slo in slos if not slo["ok"])
+    worst_p99 = max((slo["achieved_p99_ms"] for slo in slos), default=0.0)
+    worst_burn = max((slo["latency_burn_rate"] for slo in slos),
                      default=0.0)
     samples = sum(doc.get("samples", 0) for doc in timeseries.values())
 
-    sections: List[str] = []
-    sections.append(f"<h1>{_escape(title)}</h1>")
-    sections.append(
-        f'<p class="subtitle">system {_escape(record["system"])} '
-        f'&middot; runtime {_escape(record["runtime"])} &middot; '
-        f'{len(cells)} cells &middot; seed '
-        f'{_escape(record["seed"])}</p>')
-
-    sections.append('<div class="tiles">')
-    sections.append(_tile(
-        "SLO status",
-        "all ok" if violations == 0 else f"{violations} violated",
-        f"{len(slo_rows)} tenant evaluations"))
-    sections.append(_tile("Worst achieved p99", format_number(worst_p99),
-                          "milliseconds, any tenant"))
-    sections.append(_tile("Worst latency burn", format_number(worst_burn),
-                          "error budget x; <=1 is compliant"))
-    sections.append(_tile("Telemetry samples", format_number(samples),
-                          f"{len(timeseries)} sampled cells"))
-    sections.append("</div>")
-
+    cards = []
     if slo_rows:
-        head = "".join(f"<th>{_escape(h)}</th>" for h in
-                       ["cell", "tenant", "p99 ms", "latency burn",
-                        "throttle burn", "status"])
-        body_rows = []
-        for cell, slo in slo_rows:
-            status = ('<span class="slo-ok">ok</span>' if slo["ok"]
-                      else '<span class="slo-bad">VIOLATED</span>')
-            body_rows.append(
-                "<tr>"
-                + "".join(f"<td>{_escape(format_number(value))}</td>"
-                          for value in
-                          [_serve_cell_label(cell), slo["tenant"],
-                           slo["achieved_p99_ms"],
-                           slo["latency_burn_rate"],
-                           slo["throttle_burn_rate"]])
-                + f"<td>{status}</td></tr>")
-        sections.append(
-            f'<div class="card"><h2>Per-tenant SLO burn rates</h2>'
-            f"<table><thead><tr>{head}</tr></thead>"
-            f'<tbody>{"".join(body_rows)}</tbody></table></div>')
+        cards.append(_card(
+            "Per-tenant SLO burn rates",
+            _table(slo_headers, [row[:-1] + [_SLO_STATUS[row[-1]]]
+                                 for row in slo_rows])))
 
     # Sparkline strips: one card per sampled cell, one row per series.
     for label in sorted(timeseries):
@@ -505,78 +471,79 @@ def render_telemetry_page(record: dict, timeseries: Dict[str, dict],
             points = [(p[0], p[1]) for p in series["points"]]
             if not points:
                 continue
-            spark = svg_sparkline(points, unit=series.get("unit", ""),
-                                  css_class=f"s{index % 8 + 1}")
-            rows.append(
-                f'<tr class="spark-row"><td>{_escape(name)}</td>'
-                f"<td>{spark}</td>"
-                f"<td>{_escape(format_number(points[-1][1]))}"
-                f' {_escape(series.get("unit", ""))}</td></tr>')
+            unit = series.get("unit", "")
+            rows.append([name, _Raw(svg_sparkline(
+                points, unit=unit, css_class=f"s{index % 8 + 1}")),
+                f"{format_number(points[-1][1])} {unit}"])
         for index, tenant in enumerate(
                 sorted(doc.get("latency_windows", {}))):
             windows = doc["latency_windows"][tenant]["windows"]
             points = [(w["start_us"], w["p99_us"]) for w in windows]
             if not points:
                 continue
-            spark = svg_sparkline(points, unit=" us",
-                                  css_class=f"s{index % 8 + 1}")
-            rows.append(
-                f'<tr class="spark-row">'
-                f"<td>{_escape(tenant)} p99 latency</td>"
-                f"<td>{spark}</td>"
-                f"<td>{_escape(format_number(points[-1][1]))} us</td>"
-                f"</tr>")
+            rows.append([f"{tenant} p99 latency", _Raw(svg_sparkline(
+                points, unit=" us", css_class=f"s{index % 8 + 1}")),
+                f"{format_number(points[-1][1])} us"])
         if rows:
-            sections.append(
-                f'<div class="card"><h2>{_escape(label)} — sampled '
-                f'series (every '
-                f'{format_number(doc["interval_us"])} us)</h2>'
-                f"<table><thead><tr><th>series</th><th>trend</th>"
-                f'<th>last</th></tr></thead>'
-                f'<tbody>{"".join(rows)}</tbody></table></div>')
+            cards.append(_card(
+                f'{label} — sampled series (every '
+                f'{format_number(doc["interval_us"])} us)',
+                _table(["series", "trend", "last"], rows,
+                       row_class="spark-row")))
 
     # Tenant x shard routing heatmap for the busiest cell.
     routed = [cell for cell in cells
               if any(t.get("shard_requests") for t in cell["tenants"])]
     if routed:
-        detail = max(routed,
-                     key=lambda c: (c["n_shards"] * c["n_tenants"],
-                                    c["skew"]))
-        row_labels = [t["tenant"] for t in detail["tenants"]]
-        col_labels = [f"shard{j}" for j in range(detail["n_shards"])]
+        detail = _largest_serve_cell(routed)
         values = [
             [t.get("shard_requests", {}).get(str(j)) or None
              for j in range(detail["n_shards"])]
             for t in detail["tenants"]
         ]
-        heat = svg_heatmap(row_labels, col_labels, values,
-                           value_unit=" requests", log_scale=False)
-        sections.append(
-            f'<div class="card"><h2>'
-            f'{_escape(_serve_cell_label(detail))} — requests routed '
-            f"per tenant x shard</h2>{heat}</div>")
+        heat = svg_heatmap([t["tenant"] for t in detail["tenants"]],
+                           [f"shard{j}" for j in range(detail["n_shards"])],
+                           values, value_unit=" requests",
+                           log_scale=False)
+        cards.append(_card(f"{_serve_cell_label(detail)} — requests "
+                           f"routed per tenant x shard", heat))
 
-    sections.append(
-        "<footer>Generated by <code>repro.harness.cli serve "
-        "--telemetry</code> — deterministic for a given seed on the "
-        "sim runtime; see docs/observability.md.</footer>")
+    return _page(
+        "Serving telemetry",
+        [f'system {record["system"]}', f'runtime {record["runtime"]}',
+         f"{len(cells)} cells", f'seed {record["seed"]}'],
+        [("SLO status",
+          "all ok" if violations == 0 else f"{violations} violated",
+          f"{len(slos)} tenant evaluations"),
+         ("Worst achieved p99", format_number(worst_p99),
+          "milliseconds, any tenant"),
+         ("Worst latency burn", format_number(worst_burn),
+          "error budget x; <=1 is compliant"),
+         ("Telemetry samples", format_number(samples),
+          f"{len(timeseries)} sampled cells")],
+        cards,
+        "repro.harness.cli serve --telemetry",
+        "deterministic for a given seed on the sim runtime; see "
+        "docs/observability.md.")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
 
-
-def _tune_row_label(cell: dict) -> str:
+def tune_cell_label(cell: dict) -> str:
+    """A tune grid cell's row label: queue size and system."""
     return f'q{cell["queue_size"]} {cell["system"]}'
 
 
-def render_tune_page(record: dict,
-                     title: str = "Control-plane tuning sweep") -> str:
+def tune_grid_table(record: dict) -> Tuple[List[str], List[list]]:
+    """A ``cli tune`` record's static grid, as ``(headers, rows)``."""
+    return (["cell", "threshold", "tps", "cont/M", "cont/access",
+             "hit ratio", "mean batch"],
+            [[tune_cell_label(cell), cell["batch_threshold"],
+              cell["throughput_tps"], cell["contention_per_million"],
+              cell["contention_rate"], cell["hit_ratio"],
+              cell["mean_batch_size"]]
+             for cell in record["grid"]])
+
+
+def render_tune_page(record: dict) -> str:
     """One ``cli tune`` record -> one self-contained HTML page.
 
     The Fig. 8 surface as a heatmap — one row per (queue × system)
@@ -595,11 +562,11 @@ def render_tune_page(record: dict,
 
     row_labels = []
     for cell in cells:
-        label = _tune_row_label(cell)
+        label = tune_cell_label(cell)
         if label not in row_labels:
             row_labels.append(label)
     col_labels = [str(t) for t in record["thresholds"]]
-    by_key = {(_tune_row_label(c), str(c["batch_threshold"])): c
+    by_key = {(tune_cell_label(c), str(c["batch_threshold"])): c
               for c in cells}
     values = [
         [(by_key[(row, col)]["contention_per_million"]
@@ -612,50 +579,6 @@ def render_tune_page(record: dict,
 
     controller = adapter.get("controller") or {}
     adaptive_ok = sum(1 for entry in adaptive if entry["ok"])
-
-    sections: List[str] = []
-    sections.append(f"<h1>{_escape(title)}</h1>")
-    sections.append(
-        f'<p class="subtitle">workload {_escape(record["workload"])} '
-        f'&middot; {_escape(record["n_processors"])} processors '
-        f'&middot; {_escape(record["buffer_pages"])} buffer pages '
-        f'&middot; thresholds '
-        f'{_escape(", ".join(str(t) for t in record["thresholds"]))} '
-        f'&middot; seed {_escape(record["seed"])}</p>')
-
-    sections.append('<div class="tiles">')
-    sections.append(_tile(
-        "Static best", format_number(best["throughput_tps"]),
-        f'tps at threshold {best["batch_threshold"]}, '
-        f'{_tune_row_label(best)}'))
-    sections.append(_tile(
-        "Adapter vs best",
-        f'{100.0 * adapter["fraction_of_best"]:.1f}%',
-        f'threshold walked {adapter["start_threshold"]} '
-        f'-> {adapter["batch_threshold"]}'))
-    sections.append(_tile(
-        "Adapter decisions", str(controller.get("decisions", 0)),
-        f'{controller.get("commits", 0)} commits observed'))
-    sections.append(_tile(
-        "Adaptive policy",
-        f"{adaptive_ok}/{len(adaptive)} ok",
-        "hit ratio >= worse expert"))
-    sections.append("</div>")
-
-    sections.append(f'<div class="card"><h2>Lock contention across the '
-                    f'grid (per million accesses)</h2>{heat}</div>')
-
-    grid_headers = ["cell", "threshold", "tps", "cont/M",
-                    "cont/access", "hit ratio", "mean batch"]
-    grid_rows = [[
-        _tune_row_label(cell), cell["batch_threshold"],
-        cell["throughput_tps"], cell["contention_per_million"],
-        cell["contention_rate"], cell["hit_ratio"],
-        cell["mean_batch_size"],
-    ] for cell in cells]
-    sections.append(f'<div class="card"><h2>Static grid</h2>'
-                    f'{_table(grid_headers, grid_rows)}</div>')
-
     adapter_rows = [
         ["start threshold", adapter["start_threshold"]],
         ["final threshold", adapter["batch_threshold"]],
@@ -667,44 +590,52 @@ def render_tune_page(record: dict,
         ["commits observed", controller.get("commits", 0)],
         ["last window rate", controller.get("last_rate", 0.0)],
     ]
-    sections.append(
-        f'<div class="card"><h2>Online threshold adapter '
-        f'({_escape(controller.get("controller", "-"))})</h2>'
-        f'{_table(["stat", "value"], adapter_rows)}</div>')
-
-    adaptive_headers = (["workload", "buffer pages"]
-                        + sorted(adaptive[0]["hit_ratios"])
-                        + ["floor", "verdict"]) if adaptive else []
-    adaptive_rows = [
-        [entry["workload"], entry["buffer_pages"]]
-        + [entry["hit_ratios"][name]
-           for name in sorted(entry["hit_ratios"])]
-        + [entry["floor"], "ok" if entry["ok"] else "BELOW FLOOR"]
-        for entry in adaptive
+    cards = [
+        _card("Lock contention across the grid (per million accesses)",
+              heat),
+        _card("Static grid", _table(*tune_grid_table(record))),
+        _card(f'Online threshold adapter '
+              f'({controller.get("controller", "-")})',
+              _table(["stat", "value"], adapter_rows)),
     ]
-    if adaptive_rows:
-        sections.append(
-            f'<div class="card"><h2>Adaptive policy — hit-ratio '
-            f'face-off</h2>'
-            f'{_table(adaptive_headers, adaptive_rows)}</div>')
+    if adaptive:
+        experts = sorted(adaptive[0]["hit_ratios"])
+        adaptive_rows = [
+            [entry["workload"], entry["buffer_pages"]]
+            + [entry["hit_ratios"][name]
+               for name in sorted(entry["hit_ratios"])]
+            + [entry["floor"], "ok" if entry["ok"] else "BELOW FLOOR"]
+            for entry in adaptive
+        ]
+        cards.append(_card(
+            "Adaptive policy — hit-ratio face-off",
+            _table(["workload", "buffer pages"] + experts
+                   + ["floor", "verdict"], adaptive_rows)))
 
-    sections.append(
-        "<footer>Generated by <code>repro.harness.cli tune</code> — "
+    return _page(
+        "Control-plane tuning sweep",
+        [f'workload {record["workload"]}',
+         f'{record["n_processors"]} processors',
+         f'{record["buffer_pages"]} buffer pages',
+         f'thresholds {_joined(record["thresholds"])}',
+         f'seed {record["seed"]}'],
+        [("Static best", format_number(best["throughput_tps"]),
+          f'tps at threshold {best["batch_threshold"]}, '
+          f'{tune_cell_label(best)}'),
+         ("Adapter vs best", f'{100.0 * adapter["fraction_of_best"]:.1f}%',
+          f'threshold walked {adapter["start_threshold"]} '
+          f'-> {adapter["batch_threshold"]}'),
+         ("Adapter decisions", str(controller.get("decisions", 0)),
+          f'{controller.get("commits", 0)} commits observed'),
+         ("Adaptive policy", f"{adaptive_ok}/{len(adaptive)} ok",
+          "hit ratio >= worse expert")],
+        cards,
+        "repro.harness.cli tune",
         "deterministic for a given seed on the sim runtime; see "
-        "docs/architecture.md &sect;13.</footer>")
-
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+        "docs/architecture.md &sect;13.")
 
 
-def render_dashboard(analysis: dict,
-                     title: str = "BP-Wrapper sweep dashboard") -> str:
+def render_dashboard(analysis: dict) -> str:
     """One analysis document -> one self-contained HTML page."""
     systems: List[str] = analysis["systems"]
     scaling: List[dict] = analysis["scaling"]
@@ -712,75 +643,37 @@ def render_dashboard(analysis: dict,
     peak = max((row["throughput_tps"] for row in scaling), default=0.0)
     worst_contention = max((row["contention_per_million"]
                             for row in scaling), default=0.0)
-    amplification = 0.0
-    for run in analysis["runs"]:
-        for lock in run["locks"]:
-            amplification = max(amplification, lock["amplification"])
+    amplification = max((lock["amplification"] for run in analysis["runs"]
+                         for lock in run["locks"]), default=0.0)
     batch_r = analysis.get("batch_sweep", {}).get("pearson_r")
 
     legend = _legend(systems)
     throughput_chart = svg_line_chart(
-        _series(scaling, systems, "throughput_tps"),
+        _series(scaling, systems, "processors", "throughput_tps"),
         y_label="throughput (tps)", value_unit=" tps")
     lock_cost_chart = svg_line_chart(
-        _series(scaling, systems, "lock_time_per_access_us"),
+        _series(scaling, systems, "processors", "lock_time_per_access_us"),
         y_label="lock us / access", log_y=True, value_unit=" us")
     wait_chart = svg_line_chart(
-        _series(scaling, systems, "wait_p99_us"),
+        _series(scaling, systems, "processors", "wait_p99_us"),
         y_label="wait p99 (us)", log_y=True, value_unit=" us")
     heat = svg_heatmap(heatmap["rows"], heatmap["cols"],
                        heatmap["values"], col_title=" cpus",
                        value_unit=" cont/M")
 
-    sections: List[str] = []
-    sections.append(f"<h1>{_escape(title)}</h1>")
-    sections.append(
-        f'<p class="subtitle">workload {_escape(analysis["workload"])} '
-        f'&middot; systems {_escape(", ".join(systems))} &middot; '
-        f'{_escape(", ".join(str(p) for p in analysis["processors"]))} '
-        f'processors &middot; seed {_escape(analysis["seed"])}</p>')
-
-    sections.append('<div class="tiles">')
-    sections.append(_tile("Peak throughput", format_number(peak), "tps"))
-    sections.append(_tile("Worst contention",
-                          format_number(worst_contention),
-                          "per million accesses"))
-    sections.append(_tile("Worst wait/hold amplification",
-                          format_number(amplification),
-                          "total wait over total hold"))
-    sections.append(_tile(
-        "Batch size vs hold r",
-        "-" if batch_r is None else format_number(batch_r),
-        "Pearson, across the grid"))
-    sections.append(_tile("Runs", str(len(analysis["runs"])),
-                          "grid cells analyzed"))
-    sections.append("</div>")
-
-    sections.append('<div class="row">')
-    sections.append(f'<div class="card"><h2>Throughput scaling</h2>'
-                    f'{legend}{throughput_chart}</div>')
-    sections.append(f'<div class="card"><h2>Lock time per access</h2>'
-                    f'{legend}{lock_cost_chart}</div>')
-    sections.append(f'<div class="card"><h2>Wait p99</h2>'
-                    f'{legend}{wait_chart}</div>')
-    sections.append("</div>")
-
-    sections.append(f'<div class="card"><h2>Contention heatmap '
-                    f'(per million accesses)</h2>{heat}</div>')
-
-    headers, rows = scaling_table(scaling)
-    sections.append(f'<div class="card"><h2>Sweep grid</h2>'
-                    f'{_table(headers, rows)}</div>')
-
+    cards = [
+        _row(_card("Throughput scaling", legend + throughput_chart),
+             _card("Lock time per access", legend + lock_cost_chart),
+             _card("Wait p99", legend + wait_chart)),
+        _card("Contention heatmap (per million accesses)", heat),
+        _card("Sweep grid", _table(*scaling_table(scaling))),
+    ]
     for run in analysis["runs"]:
-        name = (f'{run["system"]} @ {run["processors"]} cpus')
-        parts = [f'<div class="card"><h2>{_escape(name)}</h2>']
-        headers, rows = breakdown_table(run["locks"])
-        parts.append(f"<h3>Lock breakdown</h3>{_table(headers, rows)}")
+        parts = [f"<h3>Lock breakdown</h3>"
+                 f"{_table(*breakdown_table(run['locks']))}"]
         if "warmup" in run:
-            headers, rows = warmup_table(run["warmup"])
             parts.append(f"<h3>Lock warm-up cost</h3>"
-                         f"{_table(headers, rows)}")
+                         f"{_table(*warmup_table(run['warmup']))}")
         if "batch_correlation" in run:
             corr = run["batch_correlation"]
             r_text = ("-" if corr["pearson_r"] is None
@@ -794,8 +687,8 @@ def render_dashboard(analysis: dict,
             headers, rows = attribution_table(run["threads"])
             parts.append(f"<h3>Blocked-time attribution (top "
                          f"{len(rows)})</h3>{_table(headers, rows)}")
-        parts.append("</div>")
-        sections.append("".join(parts))
+        cards.append(_card(f'{run["system"]} @ {run["processors"]} cpus',
+                           "".join(parts)))
 
     merged_rows = []
     for system in systems:
@@ -805,25 +698,28 @@ def render_dashboard(analysis: dict,
                 system, kind.replace("_us", ""), record["count"],
                 record["p50_us"], record["p90_us"], record["p99_us"],
                 record["p999_us"], record["max_us"]])
-    merged_headers = ["system", "kind", "n", "p50 us", "p90 us",
-                      "p99 us", "p99.9 us", "max us"]
-    sections.append(
-        f'<div class="card"><h2>Merged cross-run distributions</h2>'
-        f"{_table(merged_headers, merged_rows)}</div>")
+    cards.append(_card(
+        "Merged cross-run distributions",
+        _table(["system", "kind", "n", "p50 us", "p90 us", "p99 us",
+                "p99.9 us", "max us"], merged_rows)))
 
-    sections.append(
-        "<footer>Generated by <code>repro.harness.cli analyze</code> — "
-        "deterministic for a given seed; see docs/observability.md."
-        "</footer>")
-
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(
+        "BP-Wrapper sweep dashboard",
+        [f'workload {analysis["workload"]}', f"systems {_joined(systems)}",
+         f'{_joined(analysis["processors"])} processors',
+         f'seed {analysis["seed"]}'],
+        [("Peak throughput", format_number(peak), "tps"),
+         ("Worst contention", format_number(worst_contention),
+          "per million accesses"),
+         ("Worst wait/hold amplification", format_number(amplification),
+          "total wait over total hold"),
+         ("Batch size vs hold r",
+          "-" if batch_r is None else format_number(batch_r),
+          "Pearson, across the grid"),
+         ("Runs", str(len(analysis["runs"])), "grid cells analyzed")],
+        cards,
+        "repro.harness.cli analyze",
+        "deterministic for a given seed; see docs/observability.md.")
 
 
 def _macro_cell_label(cell: dict) -> str:
@@ -833,9 +729,39 @@ def _macro_cell_label(cell: dict) -> str:
     return label
 
 
-def render_macro_page(record: dict,
-                      title: str = "Macro workload — query execution"
-                      ) -> str:
+def macro_grid_table(record: dict) -> Tuple[List[str], List[list]]:
+    """A ``cli macro`` record's per-cell table, as ``(headers, rows)``."""
+    return (["cell", "queries", "qps", "hit ratio", "resp ms", "p95 ms",
+             "write-backs", "pin skips", "stale hits", "cont/M"],
+            [[_macro_cell_label(cell), cell["queries"],
+              cell["queries_per_sec"], cell["hit_ratio"],
+              cell["mean_response_ms"], cell["p95_response_ms"],
+              cell["write_backs"], cell["pinned_victim_skips"],
+              cell["stale_hit_retries"],
+              round(cell["lock"]["contentions"] * 1e6
+                    / max(1, cell["accesses"]), 1)]
+             for cell in record["cells"]])
+
+
+def macro_operator_table(record: dict) -> Tuple[str, List[str], List[list]]:
+    """The busiest macro cell's per-operator page accesses, as
+    ``(title, headers, rows)``."""
+    detail = max(record["cells"], key=lambda c: c["accesses"])
+    total_accesses = max(1, detail["accesses"])
+    rows = []
+    for name, entry in sorted(detail["op_breakdown"].items(),
+                              key=lambda item: -item[1]["accesses"]):
+        accesses = entry["accesses"]
+        rows.append([
+            name, accesses, entry["writes"], entry["hits"],
+            round(entry["hits"] / accesses, 4) if accesses else 0.0,
+            f"{100.0 * accesses / total_accesses:.1f}%"])
+    return (f"Per-operator page accesses — {_macro_cell_label(detail)}",
+            ["operator", "page accesses", "writes", "hits", "hit ratio",
+             "share"], rows)
+
+
+def render_macro_page(record: dict) -> str:
     """One ``cli macro`` record -> one self-contained HTML page.
 
     Headline tiles (peak query rate, pool hit ratio, dirty write-backs,
@@ -852,80 +778,30 @@ def render_macro_page(record: dict,
     total_pin_skips = sum(cell["pinned_victim_skips"] for cell in cells)
     total_queries = sum(cell["queries"] for cell in cells)
 
-    sections: List[str] = []
-    sections.append(f"<h1>{_escape(title)}</h1>")
-    sections.append(
-        f'<p class="subtitle">workload {_escape(record["workload"])} '
-        f'&middot; runtime {_escape(record["runtime"])} &middot; '
-        f'systems '
-        f'{_escape(", ".join(str(s) for s in record["systems"]))} '
-        f'&middot; buffer {_escape(record["buffer_pages"])} pages '
-        f'&middot; seed {_escape(record["seed"])}</p>')
-
-    sections.append('<div class="tiles">')
-    sections.append(_tile("Peak query rate", format_number(peak_qps),
-                          "queries / simulated sec"))
-    sections.append(_tile("Queries executed", format_number(total_queries),
-                          f"across {len(cells)} cells"))
-    sections.append(_tile("Dirty write-backs",
-                          format_number(total_write_backs),
-                          "victim pages flushed before reuse"))
-    sections.append(_tile("Pinned-victim skips",
-                          format_number(total_pin_skips),
-                          "evictions blocked by operator pins"))
-    sections.append("</div>")
-
-    grid_headers = ["cell", "queries", "qps", "hit ratio", "resp ms",
-                    "p95 ms", "write-backs", "pin skips", "stale hits",
-                    "cont/M"]
-    grid_rows = [[
-        _macro_cell_label(cell), cell["queries"],
-        cell["queries_per_sec"], cell["hit_ratio"],
-        cell["mean_response_ms"], cell["p95_response_ms"],
-        cell["write_backs"], cell["pinned_victim_skips"],
-        cell["stale_hit_retries"],
-        round(cell["lock"]["contentions"] * 1e6
-              / max(1, cell["accesses"]), 1),
-    ] for cell in cells]
-    sections.append(f'<div class="card"><h2>Macro grid</h2>'
-                    f'{_table(grid_headers, grid_rows)}</div>')
-
     kind_headers = ["cell"] + sorted(
         {kind for cell in cells for kind in cell["queries_by_kind"]})
     kind_rows = [[_macro_cell_label(cell)]
                  + [cell["queries_by_kind"].get(kind, 0)
                     for kind in kind_headers[1:]]
                  for cell in cells]
-    sections.append(f'<div class="card"><h2>Transaction mix</h2>'
-                    f'{_table(kind_headers, kind_rows)}</div>')
-
-    detail = max(cells, key=lambda c: c["accesses"])
-    op_headers = ["operator", "page accesses", "writes", "hits",
-                  "hit ratio", "share"]
-    total_accesses = max(1, detail["accesses"])
-    op_rows = []
-    for name, entry in sorted(detail["op_breakdown"].items(),
-                              key=lambda item: -item[1]["accesses"]):
-        accesses = entry["accesses"]
-        op_rows.append([
-            name, accesses, entry["writes"], entry["hits"],
-            round(entry["hits"] / accesses, 4) if accesses else 0.0,
-            f"{100.0 * accesses / total_accesses:.1f}%"])
-    sections.append(
-        f'<div class="card"><h2>Per-operator page accesses — '
-        f'{_escape(_macro_cell_label(detail))}</h2>'
-        f'{_table(op_headers, op_rows)}</div>')
-
-    sections.append(
-        "<footer>Generated by <code>repro.harness.cli macro</code> — "
+    op_title, op_headers, op_rows = macro_operator_table(record)
+    return _page(
+        "Macro workload — query execution",
+        [f'workload {record["workload"]}', f'runtime {record["runtime"]}',
+         f'systems {_joined(record["systems"])}',
+         f'buffer {record["buffer_pages"]} pages',
+         f'seed {record["seed"]}'],
+        [("Peak query rate", format_number(peak_qps),
+          "queries / simulated sec"),
+         ("Queries executed", format_number(total_queries),
+          f"across {len(cells)} cells"),
+         ("Dirty write-backs", format_number(total_write_backs),
+          "victim pages flushed before reuse"),
+         ("Pinned-victim skips", format_number(total_pin_skips),
+          "evictions blocked by operator pins")],
+        [_card("Macro grid", _table(*macro_grid_table(record))),
+         _card("Transaction mix", _table(kind_headers, kind_rows)),
+         _card(op_title, _table(op_headers, op_rows))],
+        "repro.harness.cli macro",
         "deterministic for a given seed on the sim runtime; see "
-        "docs/architecture.md &sect;12.</footer>")
-
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+        "docs/architecture.md &sect;12.")

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List, Mapping, Sequence, Union
+import json
+import pathlib
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 __all__ = ["render_table", "rows_to_csv", "format_number",
-           "save_results_json", "load_results_json"]
+           "save_results_json", "load_results_json", "write_artifacts"]
 
 Cell = Union[str, int, float, None]
 
@@ -74,11 +76,33 @@ def rows_to_csv(headers: Sequence[str],
     return buffer.getvalue()
 
 
+def write_artifacts(out_dir, files: Mapping[str, object]
+                    ) -> Dict[str, pathlib.Path]:
+    """Write each ``name -> content`` into ``out_dir``; the one file
+    writer of every CLI subcommand and sweep script.
+
+    The directory is created if missing. A ``str`` is written verbatim;
+    anything else is a JSON document, dumped with ``indent=1,
+    sort_keys=True`` plus a trailing newline, so same-seed records are
+    byte-identical. Prints one ``[wrote PATH]`` line per file and
+    returns ``{name: path}``.
+    """
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, content in files.items():
+        text = (content if isinstance(content, str)
+                else json.dumps(content, indent=1, sort_keys=True) + "\n")
+        paths[name] = out / name
+        paths[name].write_text(text, encoding="utf-8")
+        print(f"[wrote {paths[name]}]")
+    return paths
+
+
 def save_results_json(path, results) -> int:
     """Archive a list of :class:`~repro.harness.experiment.RunResult`
     objects as JSON (one flat record each). Returns the record count.
     """
-    import json
     records = [result.to_dict() for result in results]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1)
@@ -87,7 +111,6 @@ def save_results_json(path, results) -> int:
 
 def load_results_json(path):
     """Read records written by :func:`save_results_json` (plain dicts)."""
-    import json
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 

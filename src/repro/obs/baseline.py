@@ -67,21 +67,14 @@ MAX_HISTORY = 50
 def default_tolerance(name: str, kind: str) -> float:
     """The tolerance a metric gets when its entry sets none.
 
-    Longest-prefix name classes first (``wall.scaling.*``), then the
-    kind default. Name classes let one metric family loosen its gate
-    without touching every entry or the kind-wide default.
+    The name's two-part prefix (``wall.scaling`` for
+    ``wall.scaling.pgBat.2w``) when :data:`DEFAULT_TOLERANCES` lists
+    it as a class, else the kind default. Name classes let one metric
+    family loosen its gate without touching every entry or the
+    kind-wide default.
     """
-    if name.startswith("wall.scaling."):
-        return DEFAULT_TOLERANCES["wall.scaling"]
-    if name.startswith("wall.serve."):
-        return DEFAULT_TOLERANCES["wall.serve"]
-    if name.startswith("wall.slo."):
-        return DEFAULT_TOLERANCES["wall.slo"]
-    if name.startswith("wall.macro."):
-        return DEFAULT_TOLERANCES["wall.macro"]
-    if name.startswith("wall.tune."):
-        return DEFAULT_TOLERANCES["wall.tune"]
-    return DEFAULT_TOLERANCES[kind]
+    prefix = ".".join(name.split(".")[:2])
+    return DEFAULT_TOLERANCES.get(prefix, DEFAULT_TOLERANCES[kind])
 
 
 def _metric(value: float, kind: str, direction: str = "higher",

@@ -24,7 +24,6 @@ runs with the same seed export byte-identical JSON.
 from __future__ import annotations
 
 import json
-import pathlib
 from collections import deque
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -144,13 +143,10 @@ class TraceRecorder:
             },
         }
 
-    def write_json(self, path) -> pathlib.Path:
-        """Serialize :meth:`to_chrome` to ``path`` deterministically."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome(), sort_keys=True,
-                                   separators=(",", ":")) + "\n")
-        return path
+    def to_json(self) -> str:
+        """:meth:`to_chrome` as compact, deterministic JSON text."""
+        return json.dumps(self.to_chrome(), sort_keys=True,
+                          separators=(",", ":")) + "\n"
 
     # -- analysis ---------------------------------------------------------
 

@@ -190,8 +190,3 @@ class ServeConfig:
                 f"{self.machine.name} has at most "
                 f"{self.machine.max_processors} processors, asked for "
                 f"{self.n_processors}")
-
-    def describe(self) -> str:
-        """Cell label used in sweeps and the dashboard."""
-        return (f"{self.n_shards}s×{self.n_tenants}t"
-                f"@θ{self.skew:g}")

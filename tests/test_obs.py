@@ -184,12 +184,10 @@ class TestChromeExport:
         named = {e["tid"] for e in events if e["ph"] == "M"}
         assert named == tids  # every timeline row is labelled
 
-    def test_export_deterministic_across_runs(self, tmp_path):
+    def test_export_deterministic_across_runs(self):
         first, _ = _observed_run()
         second, _ = _observed_run()
-        path_a = first.trace.write_json(tmp_path / "a.json")
-        path_b = second.trace.write_json(tmp_path / "b.json")
-        assert path_a.read_bytes() == path_b.read_bytes()
+        assert first.trace.to_json() == second.trace.to_json()
 
     def test_expected_span_kinds_present(self):
         observer, _ = _observed_run()

@@ -230,16 +230,15 @@ def test_config_validation_rejects_bad_geometry():
 
 
 def test_cli_serve_writes_deterministic_artifacts(tmp_path, capsys):
+    """The records and page land in --out; their same-seed byte
+    identity is checked across processes in
+    test_artifact_determinism.py."""
     from repro.harness.cli import serve_main
-    args = ["--shards", "2", "--tenants", "2", "--skews", "0.5",
-            "--requests", "120", "--quota", "3000"]
-    assert serve_main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert serve_main(args + ["--out", str(tmp_path / "b")]) == 0
-    first = (tmp_path / "a" / "serve.json").read_bytes()
-    second = (tmp_path / "b" / "serve.json").read_bytes()
-    assert first == second
-    dash = (tmp_path / "a" / "serve_dashboard.html").read_text()
-    assert dash == (tmp_path / "b" / "serve_dashboard.html").read_text()
+    assert serve_main(["--shards", "2", "--tenants", "2", "--skews", "0.5",
+                       "--requests", "120", "--quota", "3000",
+                       "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "serve.json").read_text())["cells"]
+    dash = (tmp_path / "serve_dashboard.html").read_text()
     assert "Per-shard contention" in dash
     assert "shard0" in dash and "shard1" in dash
     capsys.readouterr()
@@ -256,14 +255,6 @@ def test_cli_serve_appends_wall_trajectory(tmp_path):
     entry = document["history"][-1]
     assert "wall.serve.2s.2t" in entry["metrics"]
     assert entry["metrics"]["wall.serve.2s.2t"] > 0
-
-
-def test_wall_serve_tolerance_class():
-    from repro.obs.baseline import DEFAULT_TOLERANCES, default_tolerance
-    assert default_tolerance("wall.serve.2s.3t", "wall") == \
-        DEFAULT_TOLERANCES["wall.serve"]
-    assert default_tolerance("wall.engine_events_per_sec", "wall") == \
-        DEFAULT_TOLERANCES["wall"]
 
 
 def test_serve_page_renders_heatmap_for_ragged_shards():

@@ -256,17 +256,6 @@ def test_cli_serve_writes_telemetry_artifacts(tmp_path):
     assert any((e.get("args") or {}).get("req")
                for e in trace["traceEvents"])
 
-    # Same seed, fresh invocation: byte-identical telemetry exports.
-    out2 = tmp_path / "out2"
-    prom2 = tmp_path / "telemetry2.prom"
-    argv2 = list(argv)
-    argv2[argv2.index(str(prom))] = str(prom2)
-    argv2[argv2.index(str(out))] = str(out2)
-    assert serve_main(argv2) == 0
-    assert prom2.read_bytes() == prom.read_bytes()
-    assert ((out2 / "timeseries.json").read_bytes()
-            == (out / "timeseries.json").read_bytes())
-
 
 def test_cli_serve_telemetry_conflicts_with_no_metrics(capsys):
     from repro.harness.cli import serve_main
