@@ -3,8 +3,8 @@
 
 .PHONY: install test lint check native-smoke bench-scaling trace \
 	analyze dashboard serve serve-smoke telemetry macro tune \
-	tune-smoke perf-diff bench bench-quick repro quick charts csv \
-	clean
+	tune-smoke perf-diff perfbench bench bench-quick repro quick charts \
+	csv clean
 
 install:
 	pip install -e .
@@ -135,6 +135,18 @@ tune-smoke:
 #       --mode update --skip-wall
 perf-diff:
 	PYTHONPATH=src python -m repro.harness.cli perf-diff --skip-wall
+
+# The repo benchmark (BENCHMARK.json, perfbench/): end-to-end wall
+# rates of its three workloads, then sim-contended's per-layer self
+# time and calls per access under cProfile. The last stdout line of
+# each run is its JSON result. About a minute.
+perfbench:
+	for workload in sim-contended macro-evict mp-batched; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 5 --trace 0 || exit 1; \
+	done
+	python3 perfbench/run.py --workload sim-contended --seed 1 \
+		--seconds 5 --trace 1
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -1,25 +1,15 @@
 """Engine hot-path microbenchmark: dispatched events per second.
 
-Runs a deterministic contention kernel — ``n_threads`` CPU-bound
-threads over a small :class:`~repro.simcore.cpu.ProcessorPool`, mixing
-the dominant charge/spend pattern with zero-charge spends, lock
-acquire/release cycles and quantum checks — and reports how many
-simulator events the host dispatches per wall-clock second.
-
-Two thread flavours are measured:
-
-* ``fast`` — the current :class:`~repro.simcore.cpu.CpuBoundThread`
-  (post-overhaul: ``Sleep`` markers instead of ``Timeout`` events on
-  the spend path, allocation-free early-outs);
-* ``legacy`` — :class:`LegacyThread`, a faithful copy of the
-  pre-overhaul implementations (a fresh ``Timeout`` + callbacks list
-  per spend, generators even for no-op paths), kept so the speedup is
-  a number measured on the same host rather than a claim.
+Runs the repository's engine kernel,
+:func:`repro.obs.baseline.engine_events_per_sec` (24 CPU-bound threads
+on 4 simulated processors mixing charge/spend, zero-charge spends,
+lock cycles and quantum checks) — the same kernel ``cli perf-diff``
+records as ``wall.engine_events_per_sec`` — and prints the
+best-of-``--repeats`` rate as JSON.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py            # fast only
-    PYTHONPATH=src python benchmarks/bench_engine.py --compare  # both + ratio
+    PYTHONPATH=src python benchmarks/bench_engine.py --repeats 3
 """
 
 from __future__ import annotations
@@ -28,138 +18,27 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 if __name__ == "__main__":  # runnable without an installed package
     _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
     if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
-from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Event, Simulator, Timeout
-from repro.sync.locks import SimLock
+from repro.obs.baseline import engine_events_per_sec  # noqa: E402
 
-__all__ = ["LegacyThread", "measure_engine", "run_once", "main"]
-
-
-class LegacyThread(CpuBoundThread):
-    """The pre-overhaul hot paths, preserved as a measurement baseline.
-
-    Every ``spend`` allocates a :class:`Timeout` event (plus its
-    callbacks list) even though nothing else ever waits on it, and
-    every helper is a generator even when it has nothing to yield.
-    """
-
-    def spend(self):
-        if self._pending_charge > 0.0:
-            cost = self._pending_charge
-            self._pending_charge = 0.0
-            self.cpu_time += cost
-            self.pool.busy_time += cost
-            yield Timeout(self.sim, cost)
-
-    def run_for(self, cost_us):
-        self.charge(cost_us)
-        yield from self.spend()
-
-    def maybe_yield(self, quantum_us):
-        if self.cpu_time + self._pending_charge - self._last_yield_mark \
-                >= quantum_us:
-            yield from self.yield_cpu()
-
-    def yield_cpu(self):
-        self._last_yield_mark = self.cpu_time + self._pending_charge
-        if self.pool.ready_count == 0:
-            return
-        yield from self.spend()
-        self.voluntary_yields += 1
-        slot = Event(self.sim)
-        self.pool._ready.append(slot)
-        self.pool._release()
-        self._running = False
-        yield slot
-        self.pool.dispatches += 1
-        if self.pool.context_switch_us > 0:
-            self.pool.context_switch_time += self.pool.context_switch_us
-            self.pool.busy_time += self.pool.context_switch_us
-            yield Timeout(self.sim, self.pool.context_switch_us)
-        self._running = True
-
-
-def _worker(thread, lock, iterations, quantum_us):
-    for index in range(iterations):
-        # The dominant pattern: accumulate cost, realize it.
-        thread.charge(1.0)
-        yield from thread.spend()
-        # Zero-charge spend: pure early-out overhead.
-        yield from thread.spend()
-        if index % 8 == 0:
-            yield from lock.acquire(thread)
-            yield from thread.run_for(0.5)
-            lock.release(thread)
-        yield from thread.maybe_yield(quantum_us)
-
-
-def run_once(thread_cls=CpuBoundThread, n_threads=24, n_processors=4,
-             iterations=300):
-    """One kernel execution; returns ``(events_dispatched, wall_s)``."""
-    sim = Simulator()
-    pool = ProcessorPool(sim, n_processors, context_switch_us=5.0)
-    lock = SimLock(sim, name="bench", grant_cost_us=0.1, try_cost_us=0.05)
-    for index in range(n_threads):
-        thread = thread_cls(pool, name=f"w{index}")
-        thread.start(_worker(thread, lock, iterations, quantum_us=250.0))
-    started = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - started
-    return sim.events_processed, wall
-
-
-def _best_rate(thread_cls, repeats, **kwargs) -> dict:
-    """Best-of-``repeats`` events/sec (the least-noisy point estimate)."""
-    best = None
-    events = 0
-    for _ in range(repeats):
-        events, wall = run_once(thread_cls, **kwargs)
-        rate = events / wall if wall > 0 else 0.0
-        if best is None or rate > best:
-            best = rate
-    return {"events": events, "events_per_sec": round(best or 0.0, 1)}
-
-
-def measure_engine(repeats=3, compare=True, **kwargs) -> dict:
-    """Measure the engine; with ``compare`` also run the legacy baseline.
-
-    Returns a JSON-ready dict with ``events_per_sec`` and, when
-    comparing, ``legacy_events_per_sec`` and ``improvement`` (fractional
-    speedup of the current engine over the pre-overhaul paths).
-    """
-    record = _best_rate(CpuBoundThread, repeats, **kwargs)
-    if compare:
-        legacy = _best_rate(LegacyThread, repeats, **kwargs)
-        record["legacy_events_per_sec"] = legacy["events_per_sec"]
-        if legacy["events_per_sec"] > 0:
-            record["improvement"] = round(
-                record["events_per_sec"] / legacy["events_per_sec"] - 1.0, 4)
-    return record
+__all__ = ["main"]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Simulator events/sec microbenchmark")
-    parser.add_argument("--threads", type=int, default=24)
-    parser.add_argument("--processors", type=int, default=4)
-    parser.add_argument("--iterations", type=int, default=300)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--compare", action="store_true",
-                        help="also run the pre-overhaul legacy paths "
-                             "and report the improvement")
+    parser.add_argument("--iterations", type=int, default=2_000,
+                        help="kernel loop iterations per thread")
     args = parser.parse_args(argv)
-    record = measure_engine(
-        repeats=args.repeats, compare=args.compare,
-        n_threads=args.threads, n_processors=args.processors,
-        iterations=args.iterations)
-    print(json.dumps(record, indent=1))
+    rate = engine_events_per_sec(repeats=args.repeats,
+                                 iterations=args.iterations)
+    print(json.dumps({"events_per_sec": rate}, indent=1))
     return 0
 
 

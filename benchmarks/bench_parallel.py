@@ -4,8 +4,8 @@ Runs the Figure 6 grid (five systems x three workloads x the Altix
 processor steps) twice — once serially, once fanned out over the
 process pool — verifies the two produce **byte-identical** result
 records, and writes ``BENCH_parallel.json`` with the wall-clock
-speedup plus the engine events/sec microbenchmark (current vs legacy
-hot paths, from :mod:`bench_engine`) and a native-runtime stress
+speedup plus the engine events/sec kernel
+(:func:`repro.obs.baseline.engine_events_per_sec`) and a native-runtime stress
 (real OS threads, wall-clock accesses/sec — see ``measure_native``).
 
 Usage (the ``make bench-quick`` target)::
@@ -35,12 +35,12 @@ if __name__ == "__main__":  # runnable without an installed package
     if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
-from bench_engine import measure_engine  # noqa: E402
 from repro.hardware.machines import ALTIX_350  # noqa: E402
 from repro.harness.parallel import (clear_workload_cache,  # noqa: E402
                                     resolve_workers)
 from repro.harness.sweeps import (PAPER_SYSTEMS, PAPER_WORKLOADS,  # noqa: E402
                                   bench_scale, run_matrix)
+from repro.obs.baseline import engine_events_per_sec  # noqa: E402
 
 __all__ = ["measure_native", "measure_parallel", "main"]
 
@@ -101,7 +101,7 @@ def measure_parallel(workers="auto", target_accesses=None,
         "serial_s": round(serial_s, 2),
         "parallel_s": round(parallel_s, 2),
         "identical_output": identical,
-        "engine": measure_engine(compare=True),
+        "engine": {"events_per_sec": engine_events_per_sec()},
         "native": measure_native(seed=seed),
     }
     if host_cpus == 1 or resolved == 1:

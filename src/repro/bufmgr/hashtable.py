@@ -4,9 +4,10 @@ Models the structure §II describes: page metadata spread over many hash
 buckets, each under its own lock, so that "the possibility for multiple
 threads to compete for the same bucket is low" and lookups scale. The
 paper explicitly excludes bucket-lock contention from its analysis;
-accordingly the DES charges a flat lookup cost by default, but the
-bucket structure is real and per-bucket contention *can* be simulated
-(``simulate_locks=True``) for the ablation benchmarks.
+accordingly the DES charges a flat lookup cost by default and keeps the
+entries in one flat dict. Buckets exist only to pick a bucket lock when
+per-bucket contention is simulated (``simulate_locks=True``) for the
+ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ class BufferHashTable:
         if n_buckets < 1:
             raise BufferError_(f"need >= 1 bucket, got {n_buckets}")
         self.n_buckets = n_buckets
-        self._buckets: List[Dict[BufferTag, BufferDesc]] = [
-            {} for _ in range(n_buckets)
-        ]
+        self._entries: Dict[BufferTag, BufferDesc] = {}
+        #: ``lookup(tag)`` -> the descriptor, or None. The dict's own
+        #: ``get``: the probe every page access makes costs no Python
+        #: frame.
+        self.lookup = self._entries.get
         self.simulate_locks = simulate_locks
         self.bucket_locks: Optional[List[MutexLock]] = None
         if simulate_locks:
@@ -46,27 +49,22 @@ class BufferHashTable:
         # PYTHONHASHSEED or reproducibility across runs is lost.
         return stable_hash(tag) % self.n_buckets
 
-    def lookup(self, tag: BufferTag) -> Optional[BufferDesc]:
-        return self._buckets[self.bucket_index(tag)].get(tag)
-
     def insert(self, tag: BufferTag, desc: BufferDesc) -> None:
-        bucket = self._buckets[self.bucket_index(tag)]
-        if tag in bucket:
+        if tag in self._entries:
             raise BufferError_(f"duplicate hash-table entry for {tag}")
-        bucket[tag] = desc
+        self._entries[tag] = desc
 
     def remove(self, tag: BufferTag) -> BufferDesc:
-        bucket = self._buckets[self.bucket_index(tag)]
-        desc = bucket.pop(tag, None)
+        desc = self._entries.pop(tag, None)
         if desc is None:
             raise BufferError_(f"no hash-table entry for {tag}")
         return desc
 
     def __contains__(self, tag: BufferTag) -> bool:
-        return tag in self._buckets[self.bucket_index(tag)]
+        return tag in self._entries
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets)
+        return len(self._entries)
 
     def load_factor(self) -> float:
         """Mean entries per bucket (diagnostics)."""

@@ -154,8 +154,10 @@ class ReplacementHandler(ABC):
         than merely cap it (TableScan's 8->16 drop in Fig. 6).
         """
         base = self.cache.warmup_cost(slot.thread_id, n_pages)
-        active_waiters = min(self.lock.queue_length,
-                             self.costs.coherence_waiter_cap)
+        # min(waiters, cap), without the builtin call on every commit.
+        waiters = self.lock.queue_length
+        cap = self.costs.coherence_waiter_cap
+        active_waiters = cap if cap < waiters else waiters
         degradation = (1.0 + self.costs.coherence_per_waiter
                        * active_waiters)
         slot.thread.charge(base * degradation)

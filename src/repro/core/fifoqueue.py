@@ -32,6 +32,9 @@ class QueueEntry(NamedTuple):
     tag: BufferTag
 
 
+_tuple_new = tuple.__new__
+
+
 class AccessQueue:
     """Fixed-capacity FIFO of recorded page hits."""
 
@@ -60,11 +63,13 @@ class AccessQueue:
     def record(self, desc: BufferDesc, tag: BufferTag) -> None:
         """Append one hit (Fig. 4 lines 5-6). The caller checks bounds
         via :attr:`full` before any further recording."""
-        if self.full:
+        if len(self._entries) >= self.capacity:  # self.full, inlined
             raise ConfigError(
                 "access queue overflow: commit must run before recording "
                 "into a full queue")
-        self._entries.append(QueueEntry(desc, tag))
+        # ``tuple.__new__`` builds the same QueueEntry without running
+        # the named tuple's Python-level ``__new__``.
+        self._entries.append(_tuple_new(QueueEntry, (desc, tag)))
         self.total_recorded += 1
 
     def drain(self) -> List[QueueEntry]:

@@ -157,7 +157,7 @@ class RunResult:
     #: Controller decision summary (name, decisions, final threshold),
     #: present only when ``config.controller`` was set. None otherwise,
     #: and omitted from :meth:`to_dict` so uncontrolled records — and
-    #: their byte-identical goldens — are unchanged.
+    #: their goldens in ``tests/test_sim_goldens.py`` — are unchanged.
     controller: Optional[dict] = None
 
     def summary(self) -> str:
@@ -216,7 +216,8 @@ class RunResult:
         }
         if self.config.runtime != "sim":
             # Only stamped for non-default backends so every archived
-            # sim record (and its byte-identical goldens) is unchanged.
+            # sim record (and its goldens in tests/test_sim_goldens.py)
+            # is unchanged.
             record["runtime"] = self.config.runtime
         if self.metrics is not None:
             record["metrics"] = self.metrics
@@ -302,17 +303,24 @@ def _thread_body(sim: Simulator, slot: ThreadSlot, manager,
         started = sim.now
         hits = 0
         work_us = user_work_us * transaction.work_factor
+        write_indices = transaction.write_indices
         for index, page in enumerate(transaction.pages):
             # Per-access work varies ±25% (predicate complexity, tuple
             # counts). Besides realism, the jitter prevents the
             # deterministic simulator from settling into phase-locked
             # access patterns that no real system exhibits.
+            # ``0.75 + 0.5 * random()`` is ``uniform(0.75, 1.25)``
+            # bit for bit (CPython computes ``a + (b - a) * random()``
+            # and ``b - a`` is exactly 0.5), one call cheaper.
             if work_rng is not None:
-                thread.charge(work_us * work_rng.uniform(0.75, 1.25))
+                thread.charge(work_us * (0.75 + 0.5 * work_rng.random()))
             else:
                 thread.charge(work_us)
-            hit = yield from manager.access(
-                slot, page, is_write=transaction.is_write(index))
+            # ``manager.access`` inlined: one generator frame fewer on
+            # every resume of this thread.
+            hit, desc = yield from manager.access_pinned(
+                slot, page, index in write_indices)
+            desc.unpin()
             hits += 1 if hit else 0
             yield from thread.maybe_yield(quantum_us)
         log.record(TransactionOutcome(
@@ -508,7 +516,7 @@ def _finalize_result(config: ExperimentConfig, build: SystemBuild, pool,
 
     Pure computation shared by the sim and native runtimes; under the
     sim the values are exactly what the historical inline code
-    produced (golden-trace verified).
+    produced (pinned by ``tests/test_sim_goldens.py``).
     """
     manager = build.manager
     stats = manager.stats

@@ -38,6 +38,7 @@ __all__ = [
     "append_history",
     "compare_baseline",
     "default_tolerance",
+    "engine_events_per_sec",
     "load_baseline",
     "measure_current",
     "record_baseline",
@@ -222,14 +223,15 @@ GATE_CONFIGS = (
 )
 
 
-def _engine_events_per_sec(repeats: int = 3,
-                           iterations: int = 2_000) -> float:
+def engine_events_per_sec(repeats: int = 3,
+                          iterations: int = 2_000) -> float:
     """Best-of-``repeats`` simulator dispatch rate (wall clock).
 
-    A self-contained copy of the ``bench_engine`` kernel's shape —
-    charge/spend, zero-charge spends, periodic lock cycles, quantum
-    checks — kept inside the package so ``cli perf-diff`` needs
-    nothing from ``benchmarks/``. One full-size run is discarded as
+    The repository's one engine kernel — 24 threads on 4 processors
+    doing charge/spend, zero-charge spends, periodic lock cycles and
+    quantum checks — gated by ``cli perf-diff`` and printed by
+    ``benchmarks/bench_engine.py`` and ``bench_parallel.py``. One
+    full-size run is discarded as
     warm-up (fresh-process cold starts measure 20-40% slow), then the
     best of ``repeats`` half-second runs is taken. Even so the result
     is host-dependent and throttling-sensitive — which is why it is a
@@ -381,7 +383,7 @@ def measure_current(skip_wall: bool = False, seed: int = 7,
             "us")
     if not skip_wall:
         metrics["wall.engine_events_per_sec"] = _metric(
-            _engine_events_per_sec(), "wall", "higher", "events/s")
+            engine_events_per_sec(), "wall", "higher", "events/s")
         serve_rate, worst_p99_ms = _serve_gate()
         metrics["wall.serve.2s.3t"] = _metric(
             serve_rate, "wall", "higher", "req/s")

@@ -28,8 +28,9 @@ dependency arrow stays explicit: ``repro.runtime.sim`` imports
 Byte-identical guarantee: the backend builds exactly the engine
 objects the run bodies always built, in the same order, and adds no
 wrapping on hot paths, so a run schedules the same events in the same
-order. The golden-trace tests and ``cli check`` determinism gates
-verify this.
+order. ``tests/test_sim_goldens.py`` (result digests and event counts
+pinned across commits) and the ``cli check`` determinism gates verify
+this.
 """
 
 from __future__ import annotations

@@ -83,9 +83,11 @@ class ProcessorPool:
 
     # -- internal protocol used by CpuBoundThread -------------------------
 
-    def _acquire(self, boost: bool = False
-                 ) -> Generator[Event, None, None]:
+    def _acquire(self, boost: bool = False):
         """Obtain a processor, queueing if none is free.
+
+        Returns an iterable for ``yield from``: with a free processor
+        no generator is created, only the dispatch cost comes back.
 
         ``boost=True`` queues at the *front*: threads waking from a
         blocking wait (lock grant, I/O completion) are dispatched ahead
@@ -96,13 +98,23 @@ class ProcessorPool:
         """
         if self._free > 0:
             self._free -= 1
+            return self._dispatch()
+        return self._queue_for_processor(boost)
+
+    def _queue_for_processor(self, boost: bool
+                             ) -> Generator[Event, None, None]:
+        """The slow path of :meth:`_acquire`: wait in the ready queue."""
+        slot = Event(self.sim)
+        if boost:
+            self._ready.appendleft(slot)
         else:
-            slot = Event(self.sim)
-            if boost:
-                self._ready.appendleft(slot)
-            else:
-                self._ready.append(slot)
-            yield slot
+            self._ready.append(slot)
+        yield slot
+        yield from self._dispatch()
+
+    def _dispatch(self):
+        """Account one dispatch; returns its context-switch delay as an
+        iterable for ``yield from`` (empty when switches are free)."""
         self.dispatches += 1
         observer = self.sim.observer
         if observer is not None:
@@ -110,7 +122,8 @@ class ProcessorPool:
         if self.context_switch_us > 0:
             self.context_switch_time += self.context_switch_us
             self.busy_time += self.context_switch_us
-            yield Sleep(self.context_switch_us)
+            return (Sleep(self.context_switch_us),)
+        return _NO_EVENTS
 
     def _release(self) -> None:
         """Give up the calling thread's processor, dispatching a waiter."""
@@ -160,8 +173,8 @@ class CpuBoundThread:
 
     def charge(self, cost_us: float) -> None:
         """Accumulate ``cost_us`` of CPU work, realized at the next yield."""
-        if cost_us < 0:
-            raise SimulationError(f"negative charge: {cost_us}")
+        if not cost_us >= 0.0:  # also rejects NaN
+            raise SimulationError(f"invalid charge: {cost_us}")
         self._pending_charge += cost_us
 
     def spend(self):
@@ -251,14 +264,7 @@ class CpuBoundThread:
         self._running = False
         yield slot
         # Re-dispatch: pay the context-switch cost like any dispatch.
-        self.pool.dispatches += 1
-        observer = self.sim.observer
-        if observer is not None:
-            observer.on_dispatch(self.pool.ready_count, self.sim.now)
-        if self.pool.context_switch_us > 0:
-            self.pool.context_switch_time += self.pool.context_switch_us
-            self.pool.busy_time += self.pool.context_switch_us
-            yield Sleep(self.pool.context_switch_us)
+        yield from self.pool._dispatch()
         self._running = True
 
     # -- lifecycle ----------------------------------------------------------

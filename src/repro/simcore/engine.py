@@ -80,7 +80,18 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule(0.0, self._dispatch)
+        callbacks = self.callbacks
+        if len(callbacks) == 1:
+            # Hot path (a lock wakeup, a CPU hand-off): schedule the one
+            # waiter itself, ``_schedule`` inlined. Still one heap entry
+            # at the same (time, seq) the dispatch would have taken,
+            # making the same call.
+            self.callbacks = []
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now, seq, callbacks[0], (self,)))
+        else:
+            self.sim._schedule(0.0, self._dispatch)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -107,7 +118,7 @@ class Event:
             raise self._exception
 
 
-class Sleep:
+class Sleep(float):
     """Allocation-light private timer for the dominant spend pattern.
 
     A process may ``yield Sleep(delay)`` to resume after ``delay``
@@ -117,12 +128,17 @@ class Sleep:
     indirection. Unlike a :class:`Timeout`, a ``Sleep`` cannot be
     shared, waited on by other processes, or combined with
     :class:`AnyOf`/:class:`AllOf` — it is strictly a private delay.
+
+    A ``Sleep`` *is* its delay: a ``float`` subclass, so building one
+    runs no Python code and the process adds it to the clock as is.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
-    def __init__(self, delay: float) -> None:
-        self.delay = delay
+    @property
+    def delay(self) -> float:
+        """The delay, as a plain float."""
+        return float(self)
 
 
 class Timeout(Event):
@@ -131,8 +147,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0.0:  # also rejects NaN
+            raise SimulationError(f"invalid timeout delay: {delay}")
         super().__init__(sim)
         sim._schedule(delay, self._fire)
 
@@ -198,6 +214,9 @@ class AllOf(Event):
 
 ProcessBody = Generator[Event, Any, Any]
 
+#: Shared ``_resume`` arguments for a wake-up that waited on no event.
+_NOTHING_WAITED: tuple = (None,)
+
 
 class Process(Event):
     """Drives a generator, suspending it on each yielded :class:`Event`.
@@ -230,11 +249,12 @@ class Process(Event):
         if not self._alive:
             return
         try:
-            if waited is not None and waited._exception is not None:
-                target = self._body.throw(waited._exception)
+            if waited is None:
+                target = self._body.send(None)
+            elif waited._exception is None:
+                target = self._body.send(waited._value)
             else:
-                value = waited._value if waited is not None else None
-                target = self._body.send(value)
+                target = self._body.throw(waited._exception)
         except StopIteration as stop:
             self._alive = False
             self.succeed(stop.value)
@@ -252,10 +272,18 @@ class Process(Event):
             # Hot path: a private delay (charge/spend) resumes this
             # process directly — no Event, no callbacks list, one heap
             # entry, same timestamps and tie-break order a Timeout
-            # would have produced.
-            self.sim._schedule(target.delay, self._resume, None)
+            # would have produced. ``_schedule`` inlined.
+            if not target >= 0.0:  # also rejects NaN
+                raise SimulationError(
+                    f"cannot schedule into the past: {target}")
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + target, seq, self._resume,
+                                 _NOTHING_WAITED))
             return
-        if not isinstance(target, Event):
+        # Exact-type test first: a plain Event, the common case, skips
+        # the isinstance call.
+        if target.__class__ is not Event and not isinstance(target, Event):
             self._alive = False
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}; "
@@ -286,7 +314,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
-        self._now = 0.0
+        #: Current simulated time (microseconds by package convention).
+        #: A plain attribute the run loop sets: components read it on
+        #: every access, and a property would cost a call each time.
+        self.now = 0.0
         self._seq = 0
         self._events_processed = 0
         #: Attached :class:`repro.obs.observer.Observer`, or None (off).
@@ -300,20 +331,15 @@ class Simulator:
         self.checker = None
 
     @property
-    def now(self) -> float:
-        """Current simulated time (microseconds by package convention)."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Number of callbacks dispatched so far (diagnostics only)."""
         return self._events_processed
 
     def _schedule(self, delay: float, callback: Callable, *args: Any) -> None:
-        if delay < 0:
+        if not delay >= 0.0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, seq, callback, args))
+        heappush(self._heap, (self.now + delay, seq, callback, args))
 
     def sleep(self, delay: float, callback: Optional[Callable] = None,
               *args: Any):
@@ -376,12 +402,12 @@ class Simulator:
             while heap:
                 when = heap[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     return until
                 if max_events is not None and processed >= max_events:
-                    return self._now
+                    return self.now
                 entry = pop(heap)
-                self._now = when
+                self.now = when
                 processed += 1
                 entry[2](*entry[3])
         finally:
@@ -389,7 +415,7 @@ class Simulator:
         # When the heap drains the clock stays at the last event: the
         # harness reads `now` as "when the work actually finished", and
         # `until` is only a cap.
-        return self._now
+        return self.now
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next queued event, or None if the heap is empty."""

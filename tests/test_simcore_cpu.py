@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Event, Timeout
+from repro.simcore.engine import Event, Sleep, Timeout
 
 
 def run_threads(sim, pool, bodies):
@@ -62,6 +62,19 @@ class TestProcessorPool:
         # One thread busy 10us on a 2-CPU pool -> 50%.
         assert pool.utilization(sim.now) == pytest.approx(0.5)
 
+    def test_free_processor_acquire_yields_one_switch(self, sim):
+        pool = ProcessorPool(sim, 2, context_switch_us=1.5)
+        waits = list(pool._acquire())
+        assert waits == [1.5]
+        assert type(waits[0]) is Sleep
+        assert (pool.free_processors, pool.dispatches) == (1, 1)
+        assert pool.context_switch_time == 1.5
+
+    def test_free_processor_acquire_without_switch_cost(self, sim):
+        pool = ProcessorPool(sim, 1, context_switch_us=0.0)
+        assert list(pool._acquire()) == []
+        assert (pool.free_processors, pool.dispatches) == (0, 1)
+
     def test_release_overflow_detected(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)
         with pytest.raises(SimulationError):
@@ -88,6 +101,24 @@ class TestCharges:
         thread = CpuBoundThread(pool)
         with pytest.raises(SimulationError):
             thread.charge(-1.0)
+
+    def test_nan_charge_rejected(self, sim):
+        pool = ProcessorPool(sim, 1, 0.0)
+        thread = CpuBoundThread(pool)
+        with pytest.raises(SimulationError):
+            thread.charge(float("nan"))
+        assert thread._pending_charge == 0.0
+
+    def test_nan_charge_does_not_reach_the_clock(self, sim):
+        pool = ProcessorPool(sim, 1, 0.0)
+
+        def body(thread):
+            thread.charge(float("nan"))
+            yield from thread.spend()
+
+        with pytest.raises(SimulationError):
+            run_threads(sim, pool, [body])
+        assert sim.now == 0.0
 
     def test_cpu_time_accounting(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)

@@ -354,3 +354,101 @@ class TestFailureSurfacing:
         sim.run()
         sim.timeout(5.0)
         assert sim.run() == 6.0
+
+
+class TestNonFiniteDelays:
+    """NaN compares false both ways, so a ``delay < 0`` guard let it
+    through and a NaN clock came back from ``run()`` without an error."""
+
+    def test_nan_timeout_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.timeout(float("nan"))
+
+    def test_nan_schedule_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.sleep(float("nan"), lambda: None)
+        assert sim.peek() is None
+
+    def test_nan_sleep_rejected(self, sim):
+        def body():
+            yield Sleep(float("nan"))
+
+        sim.spawn(body())
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert sim.now == 0.0
+
+    def test_negative_sleep_rejected(self, sim):
+        def body():
+            yield Sleep(-1.0)
+
+        sim.spawn(body())
+        with pytest.raises(SimulationError):
+            sim.run()
+
+
+class TestWakeupFastPaths:
+    def test_two_waiters_resume_in_registration_order(self, sim):
+        event = sim.event()
+        order = []
+
+        def waiter(tag):
+            value = yield event
+            order.append((tag, value, sim.now))
+
+        for tag in ("first", "second"):
+            sim.spawn(waiter(tag))
+        sim.run()  # both are now parked on the event
+        sim.sleep(3.0, event.succeed, "v")
+        sim.run()
+        assert order == [("first", "v", 3.0), ("second", "v", 3.0)]
+
+    def test_single_waiter_receives_failure(self, sim):
+        event = sim.event()
+        caught = []
+
+        def waiter():
+            try:
+                yield event
+            except ValueError as exc:
+                caught.append((str(exc), sim.now))
+
+        proc = sim.spawn(waiter())
+        sim.run()
+        sim.sleep(2.0, event.fail, ValueError("broken"))
+        sim.run()  # the waiter handled it: nothing surfaces
+        assert caught == [("broken", 2.0)]
+        assert not proc.alive
+
+    def test_single_waiter_gets_the_event(self, sim):
+        event = sim.event()
+        seen = []
+        event.callbacks.append(seen.append)
+        event.succeed("x")
+        assert event.callbacks == []
+        sim.run()
+        assert seen == [event]
+        assert sim.events_processed == 1
+
+    def test_sleep_and_timeout_process_the_same_events(self):
+        def run_once(make_delay):
+            sim = Simulator()
+            stamps = []
+
+            def body(delay):
+                for _ in range(3):
+                    yield make_delay(sim, delay)
+                    stamps.append(sim.now)
+
+            for delay in (1.0, 2.5, 1.0):
+                sim.spawn(body(delay))
+            sim.run()
+            return stamps, sim.events_processed
+
+        assert run_once(lambda sim, d: Sleep(d)) \
+            == run_once(lambda sim, d: Timeout(sim, d))
+
+    def test_sleep_is_its_delay(self):
+        marker = Sleep(2.5)
+        assert marker.delay == 2.5
+        assert type(marker.delay) is float
